@@ -1,10 +1,10 @@
 """Command-line front end: verify, classify, sigma, solve, slice.
 
-Every command is deterministic for a fixed seed (default fixed constant,
-overridable with the SKLYREP_SEED environment variable or --seed) and
-prints floating-point values with 17 significant digits in human/CSV
-output.  Exit codes: 0 success, 1 verification failure, 2 usage or
-schema error.
+Every command is deterministic.  The randomized ones, sigma and solve,
+take their seed from --seed, else from the SKLYREP_SEED environment
+variable, else a fixed constant.  Human and CSV output prints
+floating-point values with 17 significant digits.  Exit codes: 0 success,
+1 verification failure, 2 usage or schema error.
 """
 
 from __future__ import annotations
@@ -201,6 +201,8 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise UsageError("--input: expected a JSON list of representations")
     reps = [rep_from_json(item) for item in data]
     if reps:
         gens, n = reps[0].generators, reps[0].n
@@ -288,7 +290,7 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         slice_count=args.slices,
     )
-    report = solver.solve_reps(task)
+    report = solver.solve_reps(task, tol=args.tol)
     _emit_json(solver.report_to_json(report), args.output)
     return 0
 
@@ -317,9 +319,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "human")):
+    def common(p, formats=("json", "human"), seeded=False):
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
@@ -343,7 +346,7 @@ def _build_parser():
     p.add_argument("--c", type=parse_complex, required=True)
     p.add_argument("--max-order", type=int, default=8, dest="max_order")
     p.add_argument("--trials", type=int, default=10)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("solve", help="rediscover 2-dimensional solutions numerically")
@@ -352,7 +355,7 @@ def _build_parser():
     p.add_argument("--jordan", choices=("one", "two"), required=True)
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--slices", type=int, default=None)
-    common(p, formats=None)
+    common(p, formats=None, seeded=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("slice", help="CSV slice of the center variety at fixed u1")
@@ -392,7 +395,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_argv(list(argv)))
-    if getattr(args, "seed", None) is None:
+    # only the randomized commands take a seed, so only they read the variable
+    if "seed" in vars(args) and args.seed is None:
         try:
             args.seed = _default_seed()
         except UsageError as exc:

@@ -12,6 +12,7 @@ trace fingerprint is only a pre-filter, the conjugator is the authority.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,8 +285,37 @@ def _complex_to_pair(z):
     return [z.real, z.imag]
 
 
-def _pair_to_complex(pair):
-    return complex(pair[0], pair[1])
+def _json_complex(pair):
+    """The complex number of an ``[re, im]`` pair of finite numbers, else None."""
+    numbers = isinstance(pair, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+    )
+    if numbers and len(pair) == 2 and cmath.isfinite(z := complex(*pair)):
+        return z
+    return None
+
+
+def _bad_entry(field, pair):
+    return ValueError(f"{field}: expected a finite [re, im] pair of numbers, got {pair!r}")
+
+
+def _matrix_from_json(rows, n, field):
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"{field}: expected a list of rows")
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ValueError(f"{field}: ragged matrix, row lengths {[len(row) for row in rows]}")
+    width = widths[0] if widths else 0
+    if width != len(rows):
+        raise ValueError(f"{field}: {len(rows)}x{width} matrix is not square")
+    if len(rows) != n:
+        raise ValueError(f"n: {n} disagrees with the {len(rows)}x{len(rows)} matrix {field}")
+    values = [[_json_complex(z) for z in row] for row in rows]
+    for i, row in enumerate(values):
+        if None in row:
+            j = row.index(None)
+            raise _bad_entry(f"{field}[{i}][{j}]", rows[i][j])
+    return np.array(values, dtype=complex)
 
 
 def rep_to_json(rep: Rep) -> dict:
@@ -302,15 +332,33 @@ def rep_to_json(rep: Rep) -> dict:
 
 
 def rep_from_json(data: dict) -> Rep:
-    n = int(data["n"])
-    gens = list(data["generators"])
+    """Parse the schema of ``rep_to_json``; a ``ValueError`` names the bad field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"representation: expected a JSON object, got {type(data).__name__}")
+    n = data["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n: expected a positive integer, got {n!r}")
+    gens = data["generators"]
+    if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+        raise ValueError(f"generators: expected a list of names, got {gens!r}")
+    for i, g in enumerate(gens):
+        if g in gens[:i]:
+            raise ValueError(f"generators: duplicate generator {g!r}")
     matrices = data["matrices"]
+    params = data.get("params", {})
+    for name, value in (("matrices", matrices), ("params", params)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name}: expected a JSON object, got {type(value).__name__}")
     images = {}
     for g in gens:
         if g not in matrices:
             raise ValueError(f"matrix for generator {g!r} missing")
-        images[g] = np.array(
-            [[_pair_to_complex(z) for z in row] for row in matrices[g]], dtype=complex
-        )
-    env = {k: _pair_to_complex(v) for k, v in data.get("params", {}).items()}
+        images[g] = _matrix_from_json(matrices[g], n, f"matrices.{g}")
+    env = {}
+    for k, v in params.items():
+        env[k] = _json_complex(v)
+        if env[k] is None:
+            raise _bad_entry(f"params.{k}", v)
     return Rep(n, images, env)

@@ -8,7 +8,13 @@ the starts across the positive-dimensional solution components), then
 re-polishes every endpoint on the unsliced system, keeps the points that
 satisfy the relations, deduplicates them up to simultaneous conjugation,
 and matches each irreducible solution to a representative family through
-its central character.
+its central character.  These 2-dimensional solves run the serial
+``_gauss_newton`` one start at a time.
+
+The 1-dimensional sweep (``one_dim_solutions``) runs all of its starts
+through ``_gauss_newton_batch``, which takes the same iteration on an
+``(S, n)`` stack of starts: batched residuals and Jacobians, least-squares
+steps from a batched SVD pseudo-inverse, and step halving per start.
 """
 
 from __future__ import annotations
@@ -128,6 +134,19 @@ class _QuadSystem:
 
     def jacobian(self, u):
         return self.B + 2.0 * np.einsum("kij,j->ki", self.T, u)
+
+    def _half_jacobians(self, U):
+        """T.u for each row u of the (S, n) stack U, shape (S, k, n)."""
+        k, n, _ = self.T.shape
+        return (U @ self.T.reshape(k * n, n).T).reshape(len(U), k, n)
+
+    def residuals(self, U):
+        """Residual of every row of the (S, n) stack U, shape (S, k)."""
+        return self.C + U @ self.B.T + np.sum(self._half_jacobians(U) * U[:, None, :], axis=2)
+
+    def jacobians(self, U):
+        """Jacobian at every row of the (S, n) stack U, shape (S, k, n)."""
+        return self.B + 2.0 * self._half_jacobians(U)
 
     def with_affine(self, rows, targets):
         k_extra = rows.shape[0]
@@ -295,6 +314,42 @@ def _gauss_newton(system, u0, max_steps=MAX_STEPS, tol=CONVERGE_RESIDUAL):
         if not improved:
             break
     return u, rn, rn <= tol
+
+
+def _gauss_newton_batch(system, U0):
+    """``_gauss_newton`` run on every row of the (S, n) stack U0 at once.
+
+    Each row follows the serial iteration: a least-squares step, then up to
+    30 halvings until the residual norm drops.  A row freezes once it
+    converges or when no halving improves it.  Returns the endpoints, their
+    residual norms and the converged flags.
+    """
+    U = np.array(U0, dtype=complex)
+    R = system.residuals(U)
+    rn = np.linalg.norm(R, axis=1)
+    live = np.ones(len(U), dtype=bool)
+    for _ in range(MAX_STEPS):
+        live &= rn > CONVERGE_RESIDUAL
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        # pinv with rtol=None drops singular values by the lstsq(rcond=None) rule
+        pinv = np.linalg.pinv(system.jacobians(U[rows]), rtol=None)
+        step = np.einsum("snk,sk->sn", pinv, -R[rows])
+        t = 1.0
+        for _halving in range(30):
+            U_try = U[rows] + t * step
+            R_try = system.residuals(U_try)
+            rn_try = np.linalg.norm(R_try, axis=1)
+            better = rn_try < rn[rows]
+            done = rows[better]
+            U[done], R[done], rn[done] = U_try[better], R_try[better], rn_try[better]
+            rows, step = rows[~better], step[~better]
+            if rows.size == 0:
+                break
+            t *= 0.5
+        live[rows] = False
+    return U, rn, rn <= CONVERGE_RESIDUAL
 
 
 def _disk_samples(rng, shape, radius=2.0):
@@ -505,22 +560,31 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
 def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     """Scalar (1-dimensional) solutions of the presentation via Newton sweeps.
 
-    Returns deduplicated converged roots as tuples, one complex value per
-    generator, sorted deterministically.
+    All starts run through one batched Gauss-Newton solve.  Endpoints with
+    every value below ``ZERO_SNAP`` are snapped to the exact zero, and each
+    distinct endpoint is certified once by ``relation_residual``.  Certified
+    endpoints are deduplicated in start order: an endpoint is kept unless it
+    lies within 1e-4 of a root kept before it.
+
+    Returns the roots as tuples, one complex value per generator, sorted
+    deterministically.
     """
     gens, grids, system = _build_system(pres, "one_block", 1)
     rng = np.random.default_rng(seed)
     starts = _disk_samples(rng, (num_starts, system.n_unknowns))
+    ends, _, _ = _gauss_newton_batch(system, starts)
+    ends[np.max(np.abs(ends), axis=1) <= ZERO_SNAP] = 0.0
+    verdicts = {}
+    for u in ends:
+        key = u.tobytes()
+        if key not in verdicts:
+            rep = _rep_from_unknowns(u, gens, grids, {}, 1)
+            verdicts[key] = relation_residual(pres, rep) <= KEEP_RESIDUAL
+    pending = ends[[verdicts[u.tobytes()] for u in ends]]
     roots = []
-    for u0 in starts:
-        u, _, _ = _gauss_newton(system, u0)
-        if np.max(np.abs(u)) <= ZERO_SNAP:
-            u = np.zeros_like(u)
-        rep = _rep_from_unknowns(u, gens, grids, {}, 1)
-        if relation_residual(pres, rep) > KEEP_RESIDUAL:
-            continue
-        if all(np.linalg.norm(u - r) > 1e-4 for r in roots):
-            roots.append(u)
+    while len(pending):
+        roots.append(pending[0])
+        pending = pending[np.linalg.norm(pending - pending[0], axis=1) > 1e-4]
     roots.sort(key=lambda u: tuple(v for z in u for v in (round(z.real, 9), round(z.imag, 9))))
     return [tuple(map(complex, u)) for u in roots]
 

@@ -1,9 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sklyrep
 from sklyrep.sklyanin import ConstraintError, DenominatorError, FAMILIES, family
 
 C_MARGIN = 0.05
+SRC = str(Path(sklyrep.__file__).resolve().parent.parent)
+
+
+def subprocess_env(**overrides):
+    """Environment in which ``python -m sklyrep`` imports the package under test."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def random_valid_c(rng, lo=0.35, hi=2.0):

@@ -46,6 +46,7 @@ from conftest import (
     random_param,
     random_valid_c,
     sample_family,
+    subprocess_env,
 )
 
 DRAWS_PER_FAMILY = 500
@@ -321,7 +322,10 @@ def test_criterion_09_skew_ring():
 
 def _run_cli(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "sklyrep", *args], capture_output=True, text=True
+        [sys.executable, "-m", "sklyrep", *args],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
     )
     return proc.returncode, proc.stdout
 

@@ -5,17 +5,20 @@ import sys
 import numpy as np
 import pytest
 
+from sklyrep import solver
 from sklyrep.cli import main, parse_complex
 from sklyrep.reptheory import conjugate_rep, rep_to_json
 from sklyrep.sklyanin import family
 
+from conftest import subprocess_env
 
-def run_cli(args, env=None):
+
+def run_cli(args, **env):
     proc = subprocess.run(
         [sys.executable, "-m", "sklyrep", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(**env),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -189,13 +192,125 @@ def test_slice_csv_and_malformed_grid():
 
 
 def test_seed_env_override():
-    import os
-
-    env = dict(os.environ)
-    env["SKLYREP_SEED"] = "777"
-    code, out1, _ = run_cli(["sigma", "--a", "1", "--b", "1", "--c", "2"], env=env)
+    code, out1, _ = run_cli(["sigma", "--a", "1", "--b", "1", "--c", "2"], SKLYREP_SEED="777")
     payload = json.loads(out1)
     assert payload["seed"] == 777
+
+
+def test_malformed_seed_env_only_breaks_seeded_commands(monkeypatch, capsys):
+    monkeypatch.setenv("SKLYREP_SEED", "abc")
+    assert main(["verify", "--family", "t3f2", "--set", "c=2,z4=1"]) == 0
+    assert main(["slice", "--c", "5", "--u1", "0", "--grid", "0:1:2"]) == 0
+    capsys.readouterr()
+    assert main(["sigma", "--a", "1", "--b", "1", "--c", "2"]) == 2
+    assert "SKLYREP_SEED" in capsys.readouterr().err
+
+
+def test_solve_tol_reaches_solver(monkeypatch, capsys):
+    seen = []
+
+    def fake_solve_reps(task, tol):
+        seen.append(tol)
+        return solver.SolveReport(task, [], {})
+
+    monkeypatch.setattr(solver, "solve_reps", fake_solve_reps)
+    assert main(["solve", "--algebra", "skew", "--jordan", "two", "--tol", "1e-3"]) == 0
+    assert main(["solve", "--algebra", "skew", "--jordan", "two"]) == 0
+    assert seen == [1e-3, 1e-8]
+    capsys.readouterr()
+
+
+def _trivial_rep_json():
+    zero = [[[0.0, 0.0]] * 2 for _ in range(2)]
+    return {"n": 2, "generators": ["x", "y", "z"], "params": {"c": [2.0, 0.0]},
+            "matrices": {g: zero for g in ("x", "y", "z")}}
+
+
+def _with_nan(data):
+    data["matrices"]["y"] = [[[0.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    return data
+
+
+def _ragged(data):
+    data["matrices"]["x"] = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+    return data
+
+
+def _not_square(data):
+    data["matrices"]["z"] = [[[0.0, 0.0]] * 3] * 2
+    return data
+
+
+def _wrong_n(data):
+    data["n"] = 3
+    return data
+
+
+def _duplicate_generator(data):
+    data["generators"] = ["x", "y", "x"]
+    return data
+
+
+def _generators_as_string(data):
+    data["generators"] = "xyz"
+    return data
+
+
+def _not_an_object(data):
+    return [data]
+
+
+def _boolean_entry(data):
+    data["matrices"]["x"] = [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    return data
+
+
+def _n_as_string(data):
+    data["n"] = "2"
+    return data
+
+
+def _n_fractional(data):
+    data["n"] = 2.5
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_with_nan, "matrices.y[0][1]"),
+        (_ragged, "matrices.x"),
+        (_not_square, "matrices.z"),
+        (_wrong_n, "n:"),
+        (_duplicate_generator, "generators"),
+        (_not_an_object, "representation"),
+        (_generators_as_string, "generators"),
+        (_boolean_entry, "matrices.x[0][0]"),
+        (_n_as_string, "n:"),
+        (_n_fractional, "n:"),
+    ],
+)
+def test_verify_malformed_rep_names_field(tmp_path, capsys, corrupt, field):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(corrupt(_trivial_rep_json())))
+    assert main(["verify", "--rep", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_verify_rep_accepts_integral_float_n(tmp_path, capsys):
+    data = _trivial_rep_json()
+    data["n"] = 2.0
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--rep", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_classify_input_must_be_a_list(tmp_path, capsys):
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps(_trivial_rep_json()))
+    assert main(["classify", "--input", str(path)]) == 2
+    assert "--input" in capsys.readouterr().err
 
 
 def test_main_returns_int_in_process(capsys):

@@ -8,10 +8,17 @@ from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
     DEFAULT_SLICES,
     SolveTask,
+    _QuadSystem,
+    _build_system,
+    _disk_samples,
+    _gauss_newton,
+    _gauss_newton_batch,
     one_dim_solutions,
     report_to_json,
     solve_reps,
 )
+
+from conftest import random_valid_c
 
 
 def test_default_slice_counts():
@@ -69,6 +76,25 @@ def test_skew_solver_closure():
 def test_one_dim_sklyanin_only_origin():
     roots = one_dim_solutions(s11c_presentation(2.0), num_starts=120, seed=5)
     assert roots == [(0j, 0j, 0j)]
+
+
+def test_batched_kernel_matches_serial_reference():
+    rng = np.random.default_rng(31)
+    systems = [
+        _build_system(pres, "one_block", 1)[2]
+        for pres in [s11c_presentation(random_valid_c(rng)) for _ in range(4)]
+        + [skew_presentation()]
+    ]
+    # u^2 = 1: full steps from near 0 overshoot, so the step halving runs
+    systems.append(_QuadSystem(np.ones((1, 1, 1), complex), np.zeros((1, 1), complex),
+                               -np.ones(1, complex)))
+    for system in systems:
+        starts = _disk_samples(rng, (50, system.n_unknowns))
+        ends, _, converged = _gauss_newton_batch(system, starts)
+        for u0, u, ok in zip(starts, ends, converged):
+            ref, _, ref_ok = _gauss_newton(system, u0)
+            assert ok == ref_ok
+            assert np.max(np.abs(u - ref)) <= 1e-12
 
 
 def test_one_dim_skew_coordinate_lines():
