@@ -19,6 +19,7 @@ import numpy as np
 
 from . import sklyanin, solver
 from .reptheory import (
+    _complex_to_pair,
     classify,
     find_invariant_line,
     fingerprint,
@@ -69,11 +70,6 @@ def _fmt_c(z: complex) -> str:
     if z.imag == 0:
         return _fmt(z.real)
     return "%s%s%si" % (_fmt(z.real), "+" if z.imag >= 0 else "-", _fmt(abs(z.imag)))
-
-
-def _cpair(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _emit(text: str, output):
@@ -134,22 +130,22 @@ def _verify_payload(rep, tol):
         "residual": residual,
         "tol": tol,
         "irreducible_burnside": bool(irr_burnside),
-        "invariant_line": [_cpair(v) for v in witness] if witness is not None else None,
-        "fingerprint": [_cpair(z) for z in fingerprint(rep)] if rep.n == 2 else None,
+        "invariant_line": [_complex_to_pair(v) for v in witness] if witness is not None else None,
+        "fingerprint": [_complex_to_pair(z) for z in fingerprint(rep)] if rep.n == 2 else None,
     }
     if residual <= tol:
         if len(rep.generators) == 3:
             char = sklyanin.central_character(rep, tol=max(tol, 1e-7))
             payload["central_character"] = {
-                "u1": _cpair(char.u1),
-                "u2": _cpair(char.u2),
-                "u3": _cpair(char.u3),
-                "g": _cpair(char.g),
+                "u1": _complex_to_pair(char.u1),
+                "u2": _complex_to_pair(char.u2),
+                "u3": _complex_to_pair(char.u3),
+                "g": _complex_to_pair(char.g),
                 "f_residual": char.f_residual,
             }
         else:
             u1, u2 = skew_center_point(rep, tol=max(tol, 1e-7))
-            payload["central_character"] = {"u1": _cpair(u1), "u2": _cpair(u2)}
+            payload["central_character"] = {"u1": _complex_to_pair(u1), "u2": _complex_to_pair(u2)}
     return payload
 
 
@@ -218,7 +214,7 @@ def cmd_classify(args) -> int:
                 "representative": cls.representative,
                 "members": sorted(cls.members),
                 "conjugators": {
-                    str(i): [[_cpair(z) for z in row] for row in q]
+                    str(i): [[_complex_to_pair(z) for z in row] for row in q]
                     for i, q in sorted(cls.conjugators.items())
                 },
             }
@@ -252,15 +248,15 @@ def cmd_sigma(args) -> int:
     except sklyanin.CurveSampleError as exc:
         raise UsageError(str(exc))
     payload = {
-        "a": _cpair(args.a),
-        "b": _cpair(args.b),
-        "c": _cpair(args.c),
+        "a": _complex_to_pair(args.a),
+        "b": _complex_to_pair(args.b),
+        "c": _complex_to_pair(args.c),
         "max_order": args.max_order,
         "trials": args.trials,
         "seed": args.seed,
         "order": order,
         "validity_relaxed": relaxed,
-        "trace": [[_cpair(p.u), _cpair(p.v), _cpair(p.w)] for p in trace],
+        "trace": [[_complex_to_pair(z) for z in (p.u, p.v, p.w)] for p in trace],
     }
     if args.format == "human":
         lines = [
@@ -319,8 +315,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "human"), seeded=False):
-        p.add_argument("--tol", type=float, default=1e-8)
+    def common(p, formats=("json", "human"), seeded=False, tol=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8)
         if seeded:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -346,7 +343,7 @@ def _build_parser():
     p.add_argument("--c", type=parse_complex, required=True)
     p.add_argument("--max-order", type=int, default=8, dest="max_order")
     p.add_argument("--trials", type=int, default=10)
-    common(p, seeded=True)
+    common(p, seeded=True, tol=False)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("solve", help="rediscover 2-dimensional solutions numerically")
@@ -362,7 +359,7 @@ def _build_parser():
     p.add_argument("--c", type=parse_complex, required=True)
     p.add_argument("--u1", type=float, required=True)
     p.add_argument("--grid", required=True, help="min:max:steps")
-    common(p, formats=None)
+    common(p, formats=None, tol=False)
     p.set_defaults(func=cmd_slice)
 
     return parser

@@ -1,16 +1,14 @@
 """Small dense complex-matrix helpers shared by the other modules.
 
 Matrices are plain numpy ``complex128`` arrays (the code is exercised for
-sizes 1..4 with 2x2 as the primary case).  The 2x2 Jordan normalization is
-done with the quadratic formula rather than a library Schur form so the
-defective/diagonalizable boundary is controlled by one explicit tolerance.
+sizes 1..4 with 2x2 as the primary case).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_RTOL", "jordan_2x2", "rank", "nullspace", "is_scalar"]
+__all__ = ["DEFAULT_RTOL", "rank", "nullspace", "is_scalar"]
 
 DEFAULT_RTOL = 1e-8
 
@@ -25,60 +23,6 @@ def is_scalar(m, rtol=DEFAULT_RTOL) -> bool:
     n = m.shape[0]
     lam = np.trace(m) / n
     return np.linalg.norm(m - lam * np.eye(n)) <= rtol * (1.0 + np.linalg.norm(m))
-
-
-def jordan_2x2(m, rtol=DEFAULT_RTOL):
-    """Jordan normalization of a 2x2 complex matrix.
-
-    Returns ``(form, kind, transform)`` with ``kind`` either ``"diagonal"``
-    or ``"one_block"`` and ``transform`` invertible, such that
-    ``inv(transform) @ m @ transform`` equals ``form`` within tolerance.
-    Eigenvalues closer than ``rtol * (1 + ||m||)`` are treated as equal; a
-    non-scalar matrix with equal eigenvalues is classified ``one_block``.
-    A scalar matrix is returned unchanged with the identity transform.
-    """
-    m = _as_cmat(m)
-    if m.shape != (2, 2):
-        raise ValueError("jordan_2x2 expects a 2x2 matrix")
-    scale = 1.0 + np.linalg.norm(m)
-    eye = np.eye(2, dtype=complex)
-    if is_scalar(m, rtol):
-        return m.copy(), "diagonal", eye
-
-    t = m[0, 0] + m[1, 1]
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = np.sqrt(t * t - 4.0 * d + 0j)
-    lam1 = (t + disc) / 2.0
-    lam2 = (t - disc) / 2.0
-
-    if abs(lam1 - lam2) <= rtol * scale:
-        # defective: one 2x2 Jordan block
-        lam = t / 2.0
-        b = m - lam * eye
-        cols = [b[:, 0], b[:, 1]]
-        v = max(cols, key=np.linalg.norm)
-        v = v / np.linalg.norm(v)
-        w, *_ = np.linalg.lstsq(b, v, rcond=None)
-        transform = np.column_stack([v, w])
-        form = np.array([[lam, 1.0], [0.0, lam]], dtype=complex)
-        return form, "one_block", transform
-
-    # order eigenvalues deterministically
-    if (lam1.real, lam1.imag) > (lam2.real, lam2.imag):
-        lam1, lam2 = lam2, lam1
-
-    def eigvec(lam_self, lam_other):
-        # columns of (m - lam_other I) lie in ker(m - lam_self I)
-        b = m - lam_other * eye
-        cols = [b[:, 0], b[:, 1]]
-        v = max(cols, key=np.linalg.norm)
-        return v / np.linalg.norm(v)
-
-    v1 = eigvec(lam1, lam2)
-    v2 = eigvec(lam2, lam1)
-    transform = np.column_stack([v1, v2])
-    form = np.diag([lam1, lam2]).astype(complex)
-    return form, "diagonal", transform
 
 
 def rank(m, rtol=DEFAULT_RTOL) -> int:

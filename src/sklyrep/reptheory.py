@@ -25,6 +25,7 @@ __all__ = [
     "Rep",
     "EquivClass",
     "relation_residual",
+    "central_values",
     "is_irreducible_burnside",
     "find_invariant_line",
     "fingerprint",
@@ -121,6 +122,33 @@ def _is_invariant_line(v, mats, tol):
         if np.linalg.norm(residual) > tol * (1.0 + np.linalg.norm(m)):
             return False
     return True
+
+
+def central_values(pres: Presentation, words, rep: Rep, tol: float) -> list:
+    """Scalar values tr(w)/n of central elements ``words`` on a solution rep.
+
+    The representation must satisfy the relations of ``pres`` to within
+    ``tol``.  On a 2-dimensional irreducible representation each central
+    image must be scalar to within ``tol``; otherwise a ``ValueError`` is
+    raised.
+    """
+    res = relation_residual(pres, rep)
+    if res > tol:
+        raise ValueError(f"not a solution representation (residual {res:.3e})")
+    mats = rep.matrices(pres.generators)
+    irreducible = is_irreducible_burnside(rep)
+    values = []
+    for word in words:
+        m = eval_ncpoly(word, mats, rep.env)
+        if irreducible and rep.n == 2:
+            deviation = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
+            if deviation > tol * (1.0 + np.linalg.norm(m)):
+                raise ValueError(
+                    f"central element is not scalar on an irreducible representation "
+                    f"(deviation {deviation:.3e})"
+                )
+        values.append(np.trace(m) / rep.n)
+    return values
 
 
 def find_invariant_line(rep: Rep, tol: float = DEFAULT_RTOL):
@@ -254,7 +282,11 @@ class EquivClass:
     conjugators: dict  # member index -> Q with Q member Q^{-1} = representative
 
 
-def classify(reps, tol: float = DEFAULT_RTOL, fp_tol: float = 1e-6):
+# relative fingerprint gap above which classify skips the conjugator search
+FINGERPRINT_RTOL = 1e-6
+
+
+def classify(reps, tol: float = DEFAULT_RTOL):
     """Partition representations into equivalence classes.
 
     Fingerprint proximity is used as a cheap filter; every merge is
@@ -267,7 +299,8 @@ def classify(reps, tol: float = DEFAULT_RTOL, fp_tol: float = 1e-6):
         for cls in classes:
             j = cls.representative
             gap = np.max(np.abs(fps[i] - fps[j])) if fps[i].shape == fps[j].shape else np.inf
-            if gap > fp_tol * (1.0 + max(np.linalg.norm(fps[i]), np.linalg.norm(fps[j]))):
+            scale = 1.0 + max(np.linalg.norm(fps[i]), np.linalg.norm(fps[j]))
+            if gap > FINGERPRINT_RTOL * scale:
                 continue
             q = find_conjugator(r, reps[j], tol)
             if q is not None:
@@ -335,6 +368,9 @@ def rep_from_json(data: dict) -> Rep:
     """Parse the schema of ``rep_to_json``; a ``ValueError`` names the bad field."""
     if not isinstance(data, dict):
         raise ValueError(f"representation: expected a JSON object, got {type(data).__name__}")
+    for key in ("n", "generators", "matrices"):
+        if key not in data:
+            raise ValueError(f"{key}: required field is missing")
     n = data["n"]
     if isinstance(n, float) and n.is_integer():
         n = int(n)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import eval_ncpoly, parse_ncpoly
-from .reptheory import Presentation, Rep, is_irreducible_burnside, relation_residual
+from .freealg import parse_ncpoly
+from .reptheory import Presentation, Rep, central_values
 
 __all__ = [
     "SkewRepSpec",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _PRESENTATION = None
+_CENTER_WORDS = None
 
 
 def skew_presentation() -> Presentation:
@@ -67,21 +68,11 @@ def skew_center_point(rep: Rep, tol: float = 1e-8):
 
     Scalarity of the central images is enforced on irreducible reps.
     """
+    global _CENTER_WORDS
     pres = skew_presentation()
-    res = relation_residual(pres, rep)
-    if res > tol:
-        raise ValueError(f"not a solution representation (residual {res:.3e})")
-    mats = rep.matrices(pres.generators)
-    irreducible = is_irreducible_burnside(rep)
-    values = []
-    for text in ("x^2", "y^2"):
-        m = eval_ncpoly(parse_ncpoly(text, pres.generators), mats)
-        if rep.n == 2:
-            deviation = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
-            if irreducible and deviation > tol * (1.0 + np.linalg.norm(m)):
-                raise ValueError("central element is not scalar on an irreducible rep")
-        values.append(np.trace(m) / rep.n)
-    return tuple(values)
+    if _CENTER_WORDS is None:
+        _CENTER_WORDS = tuple(parse_ncpoly(t, pres.generators) for t in ("x^2", "y^2"))
+    return tuple(central_values(pres, _CENTER_WORDS, rep, tol))
 
 
 def skew_plane_slice(grid) -> str:

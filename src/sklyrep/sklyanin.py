@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import eval_ncpoly, parse_ncpoly, _fmt_complex
+from .freealg import parse_ncpoly, _fmt_complex
 from .matkit import DEFAULT_RTOL
-from .reptheory import Presentation, Rep, is_irreducible_burnside, relation_residual
+from .reptheory import Presentation, Rep, central_values
 
 __all__ = [
     "InvalidParametersError",
@@ -613,25 +613,7 @@ def central_character(rep: Rep, tol: float = 1e-7) -> CenterChar:
     c = rep.env.get("c")
     if c is None:
         raise ValueError("representation environment does not bind c")
-    pres = s11c_presentation(c)
-    res = relation_residual(pres, rep)
-    if res > tol:
-        raise ValueError(f"not a solution representation (residual {res:.3e})")
-    mats = rep.matrices(_CENTER_GENS)
-    irreducible = is_irreducible_burnside(rep)
-    values = []
-    for word in center_words():
-        m = eval_ncpoly(word, mats, rep.env)
-        deviation = max(
-            abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1])
-        ) if rep.n == 2 else 0.0
-        if irreducible and deviation > tol * (1.0 + np.linalg.norm(m)):
-            raise ValueError(
-                f"central element is not scalar on an irreducible representation "
-                f"(deviation {deviation:.3e})"
-            )
-        values.append(np.trace(m) / rep.n)
-    u1, u2, u3, g = values
+    u1, u2, u3, g = central_values(s11c_presentation(c), center_words(), rep, tol)
     return CenterChar(u1, u2, u3, g, abs(f_value(c, (u1, u2, u3, g))))
 
 

@@ -28,6 +28,7 @@ from .matkit import DEFAULT_RTOL
 from .reptheory import (
     Presentation,
     Rep,
+    _complex_to_pair,
     classify,
     find_conjugator,
     fingerprint,
@@ -158,32 +159,6 @@ class _QuadSystem:
         return _QuadSystem(T, B, C)
 
 
-def _poly_add(a, b):
-    out = dict(a)
-    for key, val in b.items():
-        s = out.get(key, 0j) + val
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
-def _poly_mul(a, b):
-    out = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            key = tuple(sorted(k1 + k2))
-            if len(key) > 2:
-                raise ValueError("relation of degree > 2 in the unknowns")
-            s = out.get(key, 0j) + v1 * v2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
 def _layout(gens, jordan_kind, n):
     """Unknown-entry layout: per generator a 2x2 (or 1x1) grid whose cells are
     either an unknown index or a complex constant."""
@@ -207,76 +182,49 @@ def _layout(gens, jordan_kind, n):
     return gens, grids
 
 
-def _poly_grid(grid):
-    n = len(grid)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            kind, val = grid[i][j]
-            out[i, j] = {(val,): 1.0 + 0j} if kind == "u" else ({(): complex(val)} if val else {})
-    return out
-
-
-def _poly_matmul(a, b):
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            for k in range(n):
-                acc = _poly_add(acc, _poly_mul(a[i, k], b[k, j]))
-            out[i, j] = acc
-    return out
-
-
 def _build_system(pres: Presentation, jordan_kind, n):
+    """The relations at the layout's images, one equation per matrix entry.
+
+    Only relations of degree <= 2 are supported.  A word of length <= 2 in
+    the affine images is a quadratic form in h = (1, u) with (n, n) matrix
+    coefficients; summing the forms of a relation gives Q with
+    r(u) = sum_ab h_a h_b Q[a, b], from which C, B and the symmetric T are
+    read off.  Every form entry is a small integer, so only the coefficient
+    products round.
+    """
     gens, grids = _layout(tuple(pres.generators), jordan_kind, n)
     n_unknowns = 1 + max(
         idx for grid in grids.values() for row in grid for kind, idx in row if kind == "u"
     )
-    mats = {g: _poly_grid(grids[g]) for g in gens}
-    equations = []
-    for relation in pres.relations:
-        acc = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc[i, j] = {}
-        for word, coef in relation.terms.items():
-            value = coef.evaluate({})
-            prod = None
-            for g_idx in word:
-                m = mats[gens[g_idx]]
-                prod = m if prod is None else _poly_matmul(prod, m)
-            if prod is None:  # empty word
-                prod = np.empty((n, n), dtype=object)
-                for i in range(n):
-                    for j in range(n):
-                        prod[i, j] = {(): 1.0 + 0j} if i == j else {}
-            for i in range(n):
-                for j in range(n):
-                    scaled = {k: value * v for k, v in prod[i, j].items()}
-                    acc[i, j] = _poly_add(acc[i, j], scaled)
-        for i in range(n):
-            for j in range(n):
-                equations.append(acc[i, j])
-    k = len(equations)
-    T = np.zeros((k, n_unknowns, n_unknowns), dtype=complex)
-    B = np.zeros((k, n_unknowns), dtype=complex)
-    C = np.zeros(k, dtype=complex)
-    for e, poly in enumerate(equations):
-        for key, val in poly.items():
-            if len(key) == 0:
-                C[e] = val
-            elif len(key) == 1:
-                B[e, key[0]] += val
-            else:
-                i, j = key
-                if i == j:
-                    T[e, i, i] += val
+    # generator images as (m+1, n, n) tensors for m = n_unknowns: slice 0
+    # holds the constant entries and slice 1+i the derivative along u_i
+    images = np.zeros((len(gens), n_unknowns + 1, n, n), dtype=complex)
+    for a, g in zip(images, gens):
+        for i, row in enumerate(grids[g]):
+            for j, (kind, val) in enumerate(row):
+                if kind == "u":
+                    a[1 + val, i, j] = 1.0
                 else:
-                    T[e, i, j] += val / 2.0
-                    T[e, j, i] += val / 2.0
-    return gens, grids, _QuadSystem(T, B, C)
+                    a[0, i, j] = val
+    shape = (n_unknowns + 1, n_unknowns + 1, n, n)
+    forms = []
+    for relation in pres.relations:
+        q = np.zeros(shape, dtype=complex)
+        for word, coef in relation.terms.items():
+            if len(word) > 2:
+                raise ValueError("relation of degree > 2 in the unknowns")
+            value = coef.evaluate({})
+            if len(word) == 2:
+                q += value * np.einsum("aij,bjk->abik", images[word[0]], images[word[1]])
+            elif word:
+                q[0] += value * images[word[0]]
+            else:
+                q[0, 0] += value * np.eye(n)
+        forms.append(q.transpose(2, 3, 0, 1).reshape(n * n, *shape[:2]))
+    q = np.concatenate(forms)
+    quad = q[:, 1:, 1:]
+    T = (quad + quad.transpose(0, 2, 1)) / 2.0
+    return gens, grids, _QuadSystem(T, q[:, 0, 1:] + q[:, 1:, 0], q[:, 0, 0])
 
 
 def _rep_from_unknowns(u, gens, grids, env, n):
@@ -291,12 +239,12 @@ def _rep_from_unknowns(u, gens, grids, env, n):
     return Rep(n, images, dict(env))
 
 
-def _gauss_newton(system, u0, max_steps=MAX_STEPS, tol=CONVERGE_RESIDUAL):
+def _gauss_newton(system, u0):
     u = np.asarray(u0, dtype=complex).copy()
     r = system.residual(u)
     rn = np.linalg.norm(r)
-    for _ in range(max_steps):
-        if rn <= tol:
+    for _ in range(MAX_STEPS):
+        if rn <= CONVERGE_RESIDUAL:
             break
         jac = system.jacobian(u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -313,7 +261,7 @@ def _gauss_newton(system, u0, max_steps=MAX_STEPS, tol=CONVERGE_RESIDUAL):
             t *= 0.5
         if not improved:
             break
-    return u, rn, rn <= tol
+    return u, rn, rn <= CONVERGE_RESIDUAL
 
 
 def _gauss_newton_batch(system, U0):
@@ -459,9 +407,8 @@ def _match_skew(rep, tol):
     return None
 
 
-def _fingerprint_sort_key(rep):
-    fp = fingerprint(rep)
-    return tuple(v for z in fp for v in (round(z.real, 9), round(z.imag, 9)))
+def _rounded_key(values):
+    return tuple(v for z in values for v in (round(z.real, 9), round(z.imag, 9)))
 
 
 def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
@@ -546,7 +493,7 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append(sol)
-    solutions.sort(key=lambda s: (_fingerprint_sort_key(s.rep), s.residual))
+    solutions.sort(key=lambda s: (_rounded_key(fingerprint(s.rep)), s.residual))
 
     stats = {
         "starts": int(task.num_starts),
@@ -585,13 +532,8 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     while len(pending):
         roots.append(pending[0])
         pending = pending[np.linalg.norm(pending - pending[0], axis=1) > 1e-4]
-    roots.sort(key=lambda u: tuple(v for z in u for v in (round(z.real, 9), round(z.imag, 9))))
+    roots.sort(key=_rounded_key)
     return [tuple(map(complex, u)) for u in roots]
-
-
-def _complex_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def report_to_json(report: SolveReport) -> dict:
@@ -600,7 +542,7 @@ def report_to_json(report: SolveReport) -> dict:
         "task": {
             "algebra": task.algebra,
             "jordan_kind": task.jordan_kind,
-            "c": _complex_pair(task.c) if task.c is not None else None,
+            "c": _complex_to_pair(task.c) if task.c is not None else None,
             "num_starts": int(task.num_starts),
             "seed": int(task.seed),
             "slice_count": task.slices(),
@@ -617,12 +559,12 @@ def report_to_json(report: SolveReport) -> dict:
             "matched_family": sol.matched_family,
             "branch": sol.branch,
             "fitted_params": (
-                {k: _complex_pair(v) for k, v in sol.fitted_params.items()}
+                {k: _complex_to_pair(v) for k, v in sol.fitted_params.items()}
                 if sol.fitted_params
                 else None
             ),
             "conjugator": (
-                [[_complex_pair(z) for z in row] for row in sol.conjugator]
+                [[_complex_to_pair(z) for z in row] for row in sol.conjugator]
                 if sol.conjugator is not None
                 else None
             ),

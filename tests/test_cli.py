@@ -220,6 +220,21 @@ def test_solve_tol_reaches_solver(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--a", "1", "--b", "1", "--c", "2"],
+        ["slice", "--c", "5", "--u1", "0", "--grid", "0:1:2"],
+    ],
+    ids=["sigma", "slice"],
+)
+def test_tol_is_a_usage_error_where_unused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def _trivial_rep_json():
     zero = [[[0.0, 0.0]] * 2 for _ in range(2)]
     return {"n": 2, "generators": ["x", "y", "z"], "params": {"c": [2.0, 0.0]},
@@ -275,6 +290,15 @@ def _n_fractional(data):
     return data
 
 
+def _without(key):
+    def corrupt(data):
+        del data[key]
+        return data
+
+    corrupt.__name__ = f"_without_{key}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -288,6 +312,9 @@ def _n_fractional(data):
         (_boolean_entry, "matrices.x[0][0]"),
         (_n_as_string, "n:"),
         (_n_fractional, "n:"),
+        (_without("n"), "n: required field is missing"),
+        (_without("generators"), "generators: required field is missing"),
+        (_without("matrices"), "matrices: required field is missing"),
     ],
 )
 def test_verify_malformed_rep_names_field(tmp_path, capsys, corrupt, field):

@@ -1,67 +1,6 @@
 import numpy as np
 
-from sklyrep.matkit import is_scalar, jordan_2x2, nullspace, rank
-
-
-def _reconstructs(m, form, transform, rtol=1e-8):
-    back = transform @ form @ np.linalg.inv(transform)
-    return np.linalg.norm(back - m) <= rtol * (1.0 + np.linalg.norm(m))
-
-
-def test_jordan_already_in_form():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    form, kind, transform = jordan_2x2(m)
-    assert kind == "one_block"
-    assert np.allclose(form, m)
-    assert np.allclose(transform, np.eye(2))
-
-
-def test_jordan_diagonalizable_antisymmetric():
-    alpha = 0.8 - 0.3j
-    m = np.diag([-alpha, alpha])
-    form, kind, transform = jordan_2x2(m)
-    assert kind == "diagonal"
-    assert {complex(np.round(v, 10)) for v in np.diag(form)} == {
-        complex(np.round(alpha, 10)),
-        complex(np.round(-alpha, 10)),
-    }
-    assert _reconstructs(m, form, transform)
-
-
-def test_jordan_upper_triangular_distinct_eigenvalues():
-    m = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-    form, kind, transform = jordan_2x2(m)
-    assert kind == "diagonal"
-    # quadratic formula gives eigenvalues 1 and 2
-    assert sorted(np.diag(form).real) == [1.0, 2.0]
-    assert np.allclose(np.diag(form).imag, 0.0)
-    assert _reconstructs(m, form, transform)
-
-
-def test_jordan_scalar_matrix_identity_transform():
-    m = (2.0 + 1.0j) * np.eye(2)
-    form, kind, transform = jordan_2x2(m)
-    assert kind == "diagonal"
-    assert np.allclose(transform, np.eye(2))
-    assert np.allclose(form, m)
-
-
-def test_jordan_reconstruction_random_including_near_defective(rng):
-    for k in range(1000):
-        if k % 3 == 0:
-            # nearly defective: a Jordan block plus a tiny perturbation
-            lam = complex(rng.standard_normal(), rng.standard_normal())
-            q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            while abs(np.linalg.det(q)) < 0.2:
-                q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            eps = 10.0 ** rng.uniform(-14, -6)
-            block = np.array([[lam, 1.0], [eps, lam]])
-            m = q @ block @ np.linalg.inv(q)
-        else:
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        form, kind, transform = jordan_2x2(m)
-        assert kind in ("diagonal", "one_block")
-        assert _reconstructs(m, form, transform)
+from sklyrep.matkit import is_scalar, nullspace, rank
 
 
 def test_rank_basic():

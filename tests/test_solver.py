@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from sklyrep.reptheory import relation_residual
+from sklyrep.freealg import eval_ncpoly, parse_ncpoly
+from sklyrep.reptheory import Presentation, relation_residual
 from sklyrep.sklyanin import s11c_presentation
 from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
@@ -13,6 +15,7 @@ from sklyrep.solver import (
     _disk_samples,
     _gauss_newton,
     _gauss_newton_batch,
+    _rep_from_unknowns,
     one_dim_solutions,
     report_to_json,
     solve_reps,
@@ -76,6 +79,26 @@ def test_skew_solver_closure():
 def test_one_dim_sklyanin_only_origin():
     roots = one_dim_solutions(s11c_presentation(2.0), num_starts=120, seed=5)
     assert roots == [(0j, 0j, 0j)]
+
+
+def test_quadratic_system_matches_relations():
+    rng = np.random.default_rng(17)
+    presentations = [s11c_presentation(random_valid_c(rng)) for _ in range(4)]
+    layouts = (("one_block", 2), ("two_blocks", 2), ("one_block", 1))
+    cases = [(pres, kind, n) for pres in presentations + [skew_presentation()]
+             for kind, n in layouts]
+    for pres, kind, n in cases:
+        gens, grids, system = _build_system(pres, kind, n)
+        for _ in range(5):
+            u = _disk_samples(rng, system.n_unknowns)
+            mats = _rep_from_unknowns(u, gens, grids, {}, n).matrices(gens)
+            expected = np.concatenate([eval_ncpoly(r, mats).ravel() for r in pres.relations])
+            gap = np.max(np.abs(system.residual(u) - expected))
+            assert gap <= 1e-12 * (1.0 + np.max(np.abs(expected))), (kind, n)
+    gens = ("x", "y")
+    cubic = Presentation(gens, (), (parse_ncpoly("x*y*x + y^2", gens),))
+    with pytest.raises(ValueError, match="degree > 2"):
+        _build_system(cubic, "two_blocks", 2)
 
 
 def test_batched_kernel_matches_serial_reference():
