@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import sklyanin, solver
+from .matkit import DEFAULT_RTOL
 from .reptheory import (
     _complex_to_pair,
     classify,
@@ -275,13 +276,14 @@ def cmd_sigma(args) -> int:
 
 def cmd_solve(args) -> int:
     jordan = {"one": "one_block", "two": "two_blocks"}[args.jordan]
-    c = args.c if args.algebra == "sklyanin" else None
-    if args.algebra == "sklyanin" and c is None:
+    if args.algebra == "sklyanin" and args.c is None:
         raise UsageError("--c is required for the sklyanin algebra")
+    if args.algebra == "skew" and args.c is not None:
+        raise UsageError("--c does not apply to the skew algebra")
     task = solver.SolveTask(
         algebra=args.algebra,
         jordan_kind=jordan,
-        c=c,
+        c=args.c,
         num_starts=args.starts,
         seed=args.seed,
         slice_count=args.slices,
@@ -299,8 +301,6 @@ def cmd_slice(args) -> int:
         lo, hi, steps = float(m.group(1)), float(m.group(2)), int(m.group(3))
     except ValueError:
         raise UsageError(f"malformed grid {args.grid!r}") from None
-    if steps < 1 or not (np.isfinite(lo) and np.isfinite(hi)):
-        raise UsageError("grid bounds must be finite with at least one step")
     _emit(sklyanin.xc_slice(args.c, args.u1, (lo, hi, steps)), args.output)
     return 0
 
@@ -317,7 +317,7 @@ def _build_parser():
 
     def common(p, formats=("json", "human"), seeded=False, tol=True):
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=float, default=DEFAULT_RTOL)
         if seeded:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")

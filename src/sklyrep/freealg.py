@@ -187,10 +187,6 @@ class NcPoly:
                     self.terms[tuple(word)] = coef
 
     @classmethod
-    def zero(cls, gens, params=()):
-        return cls(gens, params)
-
-    @classmethod
     def one(cls, gens, params=()):
         return cls(gens, params, {(): Coef.const(1.0)})
 

@@ -39,10 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names, parameter names, and defining relations."""
+    """Generator names and defining relations."""
 
     generators: tuple
-    params: tuple
     relations: tuple
 
     def __post_init__(self):

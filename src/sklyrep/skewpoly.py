@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import parse_ncpoly
+from .matkit import DEFAULT_RTOL
 from .reptheory import Presentation, Rep, central_values
 
 __all__ = [
@@ -25,16 +26,13 @@ __all__ = [
     "skew_plane_slice",
 ]
 
-_PRESENTATION = None
-_CENTER_WORDS = None
+_GENS = ("x", "y")
+_PRESENTATION = Presentation(_GENS, (parse_ncpoly("x*y + y*x", _GENS),))
+_CENTER_WORDS = tuple(parse_ncpoly(t, _GENS) for t in ("x^2", "y^2"))
 
 
 def skew_presentation() -> Presentation:
     """Two generators x, y and the single relation xy + yx."""
-    global _PRESENTATION
-    if _PRESENTATION is None:
-        gens = ("x", "y")
-        _PRESENTATION = Presentation(gens, (), (parse_ncpoly("x*y + y*x", gens),))
     return _PRESENTATION
 
 
@@ -63,16 +61,12 @@ def skew_rep(spec: SkewRepSpec) -> Rep:
     raise ValueError(f"unknown kind {spec.kind!r}")
 
 
-def skew_center_point(rep: Rep, tol: float = 1e-8):
+def skew_center_point(rep: Rep, tol: float = DEFAULT_RTOL):
     """Values (u1, u2) of the central generators x^2, y^2 on a solution rep.
 
     Scalarity of the central images is enforced on irreducible reps.
     """
-    global _CENTER_WORDS
-    pres = skew_presentation()
-    if _CENTER_WORDS is None:
-        _CENTER_WORDS = tuple(parse_ncpoly(t, pres.generators) for t in ("x^2", "y^2"))
-    return tuple(central_values(pres, _CENTER_WORDS, rep, tol))
+    return tuple(central_values(_PRESENTATION, _CENTER_WORDS, rep, tol))
 
 
 def skew_plane_slice(grid) -> str:

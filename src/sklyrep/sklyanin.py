@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import parse_ncpoly, _fmt_complex
+from .freealg import NcPoly, parse_ncpoly
 from .matkit import DEFAULT_RTOL
 from .reptheory import Presentation, Rep, central_values
 
@@ -88,6 +88,8 @@ class SklyaninParams:
 
     def validate(self, margin: float = VALIDITY_MARGIN):
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
+        if not np.isfinite([a, b, c]).all():
+            raise InvalidParametersError("a, b and c must be finite")
         if abs(a * b * c) <= margin:
             raise InvalidParametersError(f"abc = {a * b * c} is too close to 0")
         lhs = (3 * a * b * c) ** 3
@@ -102,6 +104,8 @@ class SklyaninParams:
 def validate_s11c(c, margin: float = VALIDITY_MARGIN) -> complex:
     """Validity of S(1,1,c): c, c^3 - 1 and c^3 + 8 all bounded away from 0."""
     c = complex(c)
+    if not np.isfinite(c):
+        raise InvalidParametersError("c must be finite")
     if abs(c) <= margin:
         raise InvalidParametersError("c is too close to 0")
     if abs(c ** 3 - 1.0) <= margin:
@@ -112,16 +116,15 @@ def validate_s11c(c, margin: float = VALIDITY_MARGIN) -> complex:
 
 
 def presentation(params: SklyaninParams) -> Presentation:
-    """The three defining relations with (a, b, c) numerically bound."""
+    """The three defining relations a*yz + b*zy + c*x^2 and their cyclic
+    shifts, with (a, b, c) numerically bound."""
     params.validate()
-    a, b, c = (_fmt_complex(v) for v in (params.a, params.b, params.c))
+    a, b, c = (complex(v) for v in (params.a, params.b, params.c))
     gens = ("x", "y", "z")
-    texts = (
-        f"({a})*y*z + ({b})*z*y + ({c})*x^2",
-        f"({a})*z*x + ({b})*x*z + ({c})*y^2",
-        f"({a})*x*y + ({b})*y*x + ({c})*z^2",
-    )
-    return Presentation(gens, (), tuple(parse_ncpoly(t, gens) for t in texts))
+    return Presentation(gens, tuple(
+        NcPoly(gens, terms={(j, k): a, (k, j): b, (i, i): c})
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ))
 
 
 def s11c_presentation(c) -> Presentation:
@@ -170,7 +173,7 @@ def proj_equal(p: ProjPoint, q: ProjPoint, tol: float = DEFAULT_RTOL) -> bool:
 
 
 def _curve_value(params: SklyaninParams, coords):
-    a, b, c = params.a, params.b, params.c
+    a, b, c = (complex(v) for v in (params.a, params.b, params.c))
     u, v, w = coords
     s = a ** 3 + b ** 3 + c ** 3
     p = a * b * c
@@ -193,7 +196,7 @@ def curve_sample(params: SklyaninParams, seed=0, strict: bool = True) -> ProjPoi
     if strict:
         params.validate()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    a, b, c = params.a, params.b, params.c
+    a, b, c = (complex(v) for v in (params.a, params.b, params.c))
     s = a ** 3 + b ** 3 + c ** 3
     p = a * b * c
     if abs(p) < 1e-14 and abs(s) < 1e-14:
@@ -235,7 +238,7 @@ def sigma(params: SklyaninParams, pt: ProjPoint, strict: bool = True) -> ProjPoi
     """
     if strict:
         params.validate()
-    a, b, c = params.a, params.b, params.c
+    a, b, c = (complex(v) for v in (params.a, params.b, params.c))
     u, v, w = pt.coords
     image = np.array(
         [
@@ -560,23 +563,14 @@ def family(fid: str, env: dict, branch: str = "principal",
 # center and geometry
 
 
-_CENTER_GENS = ("x", "y", "z")
-_CENTER_WORDS = None
+_CENTER_WORDS = tuple(
+    parse_ncpoly(text, ("x", "y", "z"), ("c",))
+    for text in ("x^2", "y^2", "z^2", "c*y^3 + y*x*z - x*y*z - c*x^3")
+)
 
 
 def center_words():
     """The four central elements (u1, u2, u3, g) with symbolic parameter c."""
-    global _CENTER_WORDS
-    if _CENTER_WORDS is None:
-        _CENTER_WORDS = tuple(
-            parse_ncpoly(text, _CENTER_GENS, ("c",))
-            for text in (
-                "x^2",
-                "y^2",
-                "z^2",
-                "c*y^3 + y*x*z - x*y*z - c*x^3",
-            )
-        )
     return _CENTER_WORDS
 
 

@@ -2,13 +2,16 @@
 
 With the first generator image fixed in one of the two Jordan shapes, the
 defining relations become a quadratic system in the remaining matrix
-entries.  The solver runs damped Gauss-Newton from many random starts on
-that system augmented with a few random affine slices (the slices spread
-the starts across the positive-dimensional solution components), then
-re-polishes every endpoint on the unsliced system, keeps the points that
-satisfy the relations, deduplicates them up to simultaneous conjugation,
-and matches each irreducible solution to a representative family through
-its central character.  These 2-dimensional solves run the serial
+entries.  The generator images are one affine tensor in the unknowns
+(``_layout``), and the system's coefficients come from expanding each
+relation in that tensor (``_build_system``).  The solver runs damped
+Gauss-Newton from many random starts on that system augmented with a few
+random affine slices (the slices spread the starts across the
+positive-dimensional solution components), then re-polishes every endpoint
+on the unsliced system, keeps the points that satisfy the relations,
+deduplicates them up to simultaneous conjugation, and matches each
+irreducible solution to a representative family through its central
+character.  These 2-dimensional solves run the serial
 ``_gauss_newton`` one start at a time.
 
 The 1-dimensional sweep (``one_dim_solutions``) runs all of its starts
@@ -79,6 +82,12 @@ class SolveTask:
     num_starts: int = 200
     seed: int = 0
     slice_count: int = None
+
+    def __post_init__(self):
+        if self.num_starts < 1:
+            raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
+        if self.slice_count is not None and self.slice_count < 0:
+            raise ValueError(f"slice_count must be at least 0, got {self.slice_count}")
 
     def slices(self):
         if self.slice_count is not None:
@@ -159,31 +168,39 @@ class _QuadSystem:
         return _QuadSystem(T, B, C)
 
 
-def _layout(gens, jordan_kind, n):
-    """Unknown-entry layout: per generator a 2x2 (or 1x1) grid whose cells are
-    either an unknown index or a complex constant."""
+# the first generator's image in each Jordan shape: its constant entries,
+# then its derivative along each of its unknowns
+_JORDAN_SHAPES = {
+    "one_block": np.array([[[0, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex),
+    "two_blocks": np.array([[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex),
+}
+
+
+def _layout(n_gens, jordan_kind, n):
+    """Generator images as one affine tensor of shape (n_gens, m+1, n, n).
+
+    Slice 0 of a generator's image holds its constant entries and slice 1+i
+    its derivative along the unknown u_i, so the images at u are the
+    contraction with h = (1, u).  For n = 2 the first generator is fixed in
+    ``jordan_kind`` (unknowns u_0, or u_0 and u_1); every entry of the other
+    images is an unknown of its own, numbered row by row and generator by
+    generator.  For n = 1 each generator is one unknown.
+    """
     if n == 1:
-        return gens, {g: [[("u", i)]] for i, g in enumerate(gens)}
-    grids = {}
-    if jordan_kind == "one_block":
-        grids[gens[0]] = [[("u", 0), ("k", 1.0)], [("k", 0.0), ("u", 0)]]
-        base = 1
-    elif jordan_kind == "two_blocks":
-        grids[gens[0]] = [[("u", 0), ("k", 0.0)], [("k", 0.0), ("u", 1)]]
-        base = 2
-    else:
+        return np.eye(n_gens + 1, dtype=complex)[1:, :, None, None]
+    if jordan_kind not in _JORDAN_SHAPES:
         raise ValueError(f"unknown jordan_kind {jordan_kind!r}")
-    for g in gens[1:]:
-        grids[g] = [
-            [("u", base), ("u", base + 1)],
-            [("u", base + 2), ("u", base + 3)],
-        ]
-        base += 4
-    return gens, grids
+    head = _JORDAN_SHAPES[jordan_kind]
+    free = 4 * (n_gens - 1)
+    images = np.zeros((n_gens, len(head) + free, 2, 2), dtype=complex)
+    images[0, : len(head)] = head
+    images[1:, len(head) :] = np.eye(free).reshape(free, n_gens - 1, 2, 2).transpose(1, 0, 2, 3)
+    return images
 
 
 def _build_system(pres: Presentation, jordan_kind, n):
-    """The relations at the layout's images, one equation per matrix entry.
+    """The layout's image tensor and the relations at those images, one
+    equation per matrix entry.
 
     Only relations of degree <= 2 are supported.  A word of length <= 2 in
     the affine images is a quadratic form in h = (1, u) with (n, n) matrix
@@ -192,21 +209,8 @@ def _build_system(pres: Presentation, jordan_kind, n):
     read off.  Every form entry is a small integer, so only the coefficient
     products round.
     """
-    gens, grids = _layout(tuple(pres.generators), jordan_kind, n)
-    n_unknowns = 1 + max(
-        idx for grid in grids.values() for row in grid for kind, idx in row if kind == "u"
-    )
-    # generator images as (m+1, n, n) tensors for m = n_unknowns: slice 0
-    # holds the constant entries and slice 1+i the derivative along u_i
-    images = np.zeros((len(gens), n_unknowns + 1, n, n), dtype=complex)
-    for a, g in zip(images, gens):
-        for i, row in enumerate(grids[g]):
-            for j, (kind, val) in enumerate(row):
-                if kind == "u":
-                    a[1 + val, i, j] = 1.0
-                else:
-                    a[0, i, j] = val
-    shape = (n_unknowns + 1, n_unknowns + 1, n, n)
+    images = _layout(len(pres.generators), jordan_kind, n)
+    shape = (images.shape[1], images.shape[1], n, n)
     forms = []
     for relation in pres.relations:
         q = np.zeros(shape, dtype=complex)
@@ -224,19 +228,13 @@ def _build_system(pres: Presentation, jordan_kind, n):
     q = np.concatenate(forms)
     quad = q[:, 1:, 1:]
     T = (quad + quad.transpose(0, 2, 1)) / 2.0
-    return gens, grids, _QuadSystem(T, q[:, 0, 1:] + q[:, 1:, 0], q[:, 0, 0])
+    return images, _QuadSystem(T, q[:, 0, 1:] + q[:, 1:, 0], q[:, 0, 0])
 
 
-def _rep_from_unknowns(u, gens, grids, env, n):
-    images = {}
-    for g in gens:
-        m = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                kind, val = grids[g][i][j]
-                m[i, j] = u[val] if kind == "u" else val
-        images[g] = m
-    return Rep(n, images, dict(env))
+def _rep_from_unknowns(u, gens, images, env):
+    """The representation at the unknowns u: ``images`` contracted with h = (1, u)."""
+    mats = np.einsum("a,gaij->gij", np.concatenate(([1.0], u)), images)
+    return Rep(images.shape[-1], dict(zip(gens, mats)), dict(env))
 
 
 def _gauss_newton(system, u0):
@@ -421,8 +419,8 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     when the match is confirmed by an explicit conjugator.
     """
     pres = task.presentation()
-    n = 2
-    gens, grids, base = _build_system(pres, task.jordan_kind, n)
+    gens = pres.generators
+    images, base = _build_system(pres, task.jordan_kind, 2)
     env = {"c": complex(task.c)} if task.algebra == "sklyanin" else {}
     rng = np.random.default_rng(task.seed)
     n_u = base.n_unknowns
@@ -457,12 +455,12 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
             u_try = u_fin.copy()
             u_try[tiny] = 0.0
             u_try, _, _ = _gauss_newton(base.with_affine(hold, np.zeros(len(tiny))), u_try)
-            rep_try = _rep_from_unknowns(u_try, gens, grids, env, n)
+            rep_try = _rep_from_unknowns(u_try, gens, images, env)
             if relation_residual(pres, rep_try) <= KEEP_RESIDUAL:
                 u_fin = u_try
         if np.max(np.abs(u_fin)) <= ZERO_SNAP:
             u_fin = np.zeros_like(u_fin)
-        rep = _rep_from_unknowns(u_fin, gens, grids, env, n)
+        rep = _rep_from_unknowns(u_fin, gens, images, env)
         rr = relation_residual(pres, rep)
         if rr <= KEEP_RESIDUAL:
             kept.append((rep, rr))
@@ -516,7 +514,7 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     Returns the roots as tuples, one complex value per generator, sorted
     deterministically.
     """
-    gens, grids, system = _build_system(pres, "one_block", 1)
+    images, system = _build_system(pres, "one_block", 1)
     rng = np.random.default_rng(seed)
     starts = _disk_samples(rng, (num_starts, system.n_unknowns))
     ends, _, _ = _gauss_newton_batch(system, starts)
@@ -525,7 +523,7 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     for u in ends:
         key = u.tobytes()
         if key not in verdicts:
-            rep = _rep_from_unknowns(u, gens, grids, {}, 1)
+            rep = _rep_from_unknowns(u, pres.generators, images, {})
             verdicts[key] = relation_residual(pres, rep) <= KEEP_RESIDUAL
     pending = ends[[verdicts[u.tobytes()] for u in ends]]
     roots = []

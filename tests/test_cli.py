@@ -181,6 +181,22 @@ def test_solve_requires_c_for_sklyanin():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--algebra", "sklyanin", "--c", "5", "--starts", "-3"], "num_starts"),
+        (["--algebra", "sklyanin", "--c", "5", "--slices", "-1"], "slice_count"),
+        (["--algebra", "skew", "--c", "5"], "--c"),
+    ],
+    ids=["negative_starts", "negative_slices", "c_for_skew"],
+)
+def test_solve_rejects_bad_input_naming_the_field(argv, field, capsys):
+    assert main(["solve", "--jordan", "two", *argv]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert field in captured.err
+
+
 def test_slice_csv_and_malformed_grid():
     code, out, _ = run_cli(["slice", "--c", "5", "--u1", "0", "--grid", "0:1:2"])
     assert code == 0
@@ -189,6 +205,10 @@ def test_slice_csv_and_malformed_grid():
     assert len(lines) == 5
     code, _, err = run_cli(["slice", "--c", "5", "--u1", "0", "--grid", "nope"])
     assert code == 2
+    for grid in ("0:1:0", "0:inf:3"):
+        code, out, err = run_cli(["slice", "--c", "5", "--u1", "0", "--grid", grid])
+        assert code == 2 and not out
+        assert "grid bounds must be finite with at least one step" in err
 
 
 def test_seed_env_override():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sklyrep.freealg import Coef, eval_ncpoly
+from sklyrep.freealg import Coef, _fmt_complex, eval_ncpoly, parse_ncpoly
 from sklyrep.reptheory import (
+    Presentation,
     Rep,
     find_conjugator,
     find_invariant_line,
@@ -35,6 +36,7 @@ from sklyrep.sklyanin import (
     xc_gradient,
     xc_slice,
 )
+from sklyrep.solver import _build_system
 
 from conftest import random_param, random_valid_c, sample_family
 
@@ -337,3 +339,43 @@ def test_xc_slice_csv():
 def test_center_char_dataclass_point():
     ch = CenterChar(1.0, 2.0, 3.0, 4.0, 0.0)
     assert np.allclose(ch.point, [1, 2, 3, 4])
+
+
+def _text_presentation(a, b, c):
+    """S(a,b,c) as printed to text and parsed back, the reference form."""
+    a, b, c = (_fmt_complex(v) for v in (a, b, c))
+    gens = ("x", "y", "z")
+    texts = (
+        f"({a})*y*z + ({b})*z*y + ({c})*x^2",
+        f"({a})*z*x + ({b})*x*z + ({c})*y^2",
+        f"({a})*x*y + ({b})*y*x + ({c})*z^2",
+    )
+    return Presentation(gens, tuple(parse_ncpoly(t, gens) for t in texts))
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [(1.0, 1.0, c) for c in (5.0, -0.7, 1.2j, 0.5 - 1.2j, 40.0, 0.05)]
+    + [(1.5, -0.5 + 0.25j, 2.0)],
+)
+def test_presentation_matches_text_form(a, b, c):
+    expected = _text_presentation(a, b, c)
+    built = [presentation(SklyaninParams(a, b, c))]
+    if a == b == 1.0:
+        built.append(s11c_presentation(c))
+    for pres in built:
+        assert pres.generators == expected.generators
+        assert pres.relations == expected.relations
+        for kind, n in (("one_block", 2), ("two_blocks", 2), ("one_block", 1)):
+            got = _build_system(pres, kind, n)[1]
+            ref = _build_system(expected, kind, n)[1]
+            for x, y in ((got.T, ref.T), (got.B, ref.B), (got.C, ref.C)):
+                assert x.tobytes() == y.tobytes(), (kind, n)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), complex(1.0, float("nan"))])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(InvalidParametersError, match="finite"):
+        validate_s11c(bad)
+    with pytest.raises(InvalidParametersError, match="finite"):
+        SklyaninParams(1.0, bad, 2.0).validate()

@@ -88,15 +88,15 @@ def test_quadratic_system_matches_relations():
     cases = [(pres, kind, n) for pres in presentations + [skew_presentation()]
              for kind, n in layouts]
     for pres, kind, n in cases:
-        gens, grids, system = _build_system(pres, kind, n)
+        images, system = _build_system(pres, kind, n)
         for _ in range(5):
             u = _disk_samples(rng, system.n_unknowns)
-            mats = _rep_from_unknowns(u, gens, grids, {}, n).matrices(gens)
+            mats = _rep_from_unknowns(u, pres.generators, images, {}).matrices(pres.generators)
             expected = np.concatenate([eval_ncpoly(r, mats).ravel() for r in pres.relations])
             gap = np.max(np.abs(system.residual(u) - expected))
             assert gap <= 1e-12 * (1.0 + np.max(np.abs(expected))), (kind, n)
     gens = ("x", "y")
-    cubic = Presentation(gens, (), (parse_ncpoly("x*y*x + y^2", gens),))
+    cubic = Presentation(gens, (parse_ncpoly("x*y*x + y^2", gens),))
     with pytest.raises(ValueError, match="degree > 2"):
         _build_system(cubic, "two_blocks", 2)
 
@@ -104,7 +104,7 @@ def test_quadratic_system_matches_relations():
 def test_batched_kernel_matches_serial_reference():
     rng = np.random.default_rng(31)
     systems = [
-        _build_system(pres, "one_block", 1)[2]
+        _build_system(pres, "one_block", 1)[1]
         for pres in [s11c_presentation(random_valid_c(rng)) for _ in range(4)]
         + [skew_presentation()]
     ]
