@@ -181,13 +181,17 @@ def _verify_human(payload) -> str:
 def cmd_verify(args) -> int:
     if (args.rep is None) == (args.family is None):
         raise UsageError("exactly one of --rep and --family is required")
-    if args.rep is not None:
-        with open(args.rep) as fh:
-            rep = rep_from_json(json.load(fh))
-    else:
-        env = _parse_assignments(args.set or "")
-        rep = sklyanin.family(args.family, env, branch=args.branch)
-    payload = _verify_payload(rep, args.tol)
+    try:
+        if args.rep is not None:
+            with open(args.rep) as fh:
+                rep = rep_from_json(json.load(fh))
+        else:
+            env = _parse_assignments(args.set or "")
+            rep = sklyanin.family(args.family, env, branch=args.branch)
+        payload = _verify_payload(rep, args.tol)
+    except OverflowError:
+        flag = "--rep" if args.rep is not None else "--set"
+        raise UsageError(f"{flag}: values too large, the arithmetic overflows") from None
     if args.format == "human":
         _emit(_verify_human(payload), args.output)
     else:
@@ -227,6 +231,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    for name in ("a", "b", "c"):
+        if not np.isfinite(getattr(args, name)):
+            raise UsageError(f"--{name} must be finite")
     params = sklyanin.SklyaninParams(args.a, args.b, args.c)
     relaxed = False
     try:
@@ -301,7 +308,11 @@ def cmd_slice(args) -> int:
         lo, hi, steps = float(m.group(1)), float(m.group(2)), int(m.group(3))
     except ValueError:
         raise UsageError(f"malformed grid {args.grid!r}") from None
-    _emit(sklyanin.xc_slice(args.c, args.u1, (lo, hi, steps)), args.output)
+    try:
+        csv = sklyanin.xc_slice(args.c, args.u1, (lo, hi, steps))
+    except OverflowError:
+        raise UsageError("--c, --u1, --grid: values too large, the arithmetic overflows") from None
+    _emit(csv, args.output)
     return 0
 
 

@@ -83,7 +83,7 @@ def relation_residual(pres: Presentation, rep: Rep) -> float:
     scale = 1.0 + max(np.linalg.norm(m) for m in mats) ** 2
     worst = 0.0
     for relation in pres.relations:
-        worst = max(worst, np.linalg.norm(eval_ncpoly(relation, mats, rep.env)))
+        worst = max(worst, np.linalg.norm(eval_ncpoly(relation, mats)))
     return worst / scale
 
 
@@ -138,7 +138,7 @@ def central_values(pres: Presentation, words, rep: Rep, tol: float) -> list:
     irreducible = is_irreducible_burnside(rep)
     values = []
     for word in words:
-        m = eval_ncpoly(word, mats, rep.env)
+        m = eval_ncpoly(word, mats)
         if irreducible and rep.n == 2:
             deviation = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
             if deviation > tol * (1.0 + np.linalg.norm(m)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import parse_ncpoly
+from .freealg import NcPoly, parse_ncpoly
 from .matkit import DEFAULT_RTOL
 from .reptheory import Presentation, Rep, central_values
 
@@ -28,7 +28,7 @@ __all__ = [
 
 _GENS = ("x", "y")
 _PRESENTATION = Presentation(_GENS, (parse_ncpoly("x*y + y*x", _GENS),))
-_CENTER_WORDS = tuple(parse_ncpoly(t, _GENS) for t in ("x^2", "y^2"))
+_CENTER_WORDS = (NcPoly(_GENS, {(0, 0): 1.0}), NcPoly(_GENS, {(1, 1): 1.0}))
 
 
 def skew_presentation() -> Presentation:

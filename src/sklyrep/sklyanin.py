@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import NcPoly, parse_ncpoly
+from .freealg import NcPoly
 from .matkit import DEFAULT_RTOL
 from .reptheory import Presentation, Rep, central_values
 
@@ -563,15 +563,16 @@ def family(fid: str, env: dict, branch: str = "principal",
 # center and geometry
 
 
-_CENTER_WORDS = tuple(
-    parse_ncpoly(text, ("x", "y", "z"), ("c",))
-    for text in ("x^2", "y^2", "z^2", "c*y^3 + y*x*z - x*y*z - c*x^3")
-)
-
-
-def center_words():
-    """The four central elements (u1, u2, u3, g) with symbolic parameter c."""
-    return _CENTER_WORDS
+def center_words(c):
+    """The four central elements (u1, u2, u3, g) = (x^2, y^2, z^2,
+    c*y^3 + yxz - xyz - c*x^3) with c bound."""
+    gens = ("x", "y", "z")
+    return (
+        NcPoly(gens, {(0, 0): 1.0}),
+        NcPoly(gens, {(1, 1): 1.0}),
+        NcPoly(gens, {(2, 2): 1.0}),
+        NcPoly(gens, {(1, 1, 1): c, (1, 0, 2): 1.0, (0, 1, 2): -1.0, (0, 0, 0): -c}),
+    )
 
 
 @dataclass(frozen=True)
@@ -607,7 +608,7 @@ def central_character(rep: Rep, tol: float = 1e-7) -> CenterChar:
     c = rep.env.get("c")
     if c is None:
         raise ValueError("representation environment does not bind c")
-    u1, u2, u3, g = central_values(s11c_presentation(c), center_words(), rep, tol)
+    u1, u2, u3, g = central_values(s11c_presentation(c), center_words(c), rep, tol)
     return CenterChar(u1, u2, u3, g, abs(f_value(c, (u1, u2, u3, g))))
 
 
@@ -632,18 +633,24 @@ def xc_slice(c, u1, grid) -> str:
 
     ``grid`` is (min, max, steps) applied to both u2 and u3; each row is
     ``u2,u3,value`` with value the real part of the principal square root of
-    c^2(u1^3+u2^3+u3^3) + (c^3-4) u1 u2 u3.
+    c^2(u1^3+u2^3+u3^3) + (c^3-4) u1 u2 u3.  A non-finite c or u1 raises
+    ``ValueError``; a value that overflows raises ``OverflowError``.
     """
     lo, hi, steps = grid
     if not np.isfinite(lo) or not np.isfinite(hi) or int(steps) < 1:
         raise ValueError("grid bounds must be finite with at least one step")
     c = complex(c)
     u1 = complex(u1)
-    axis = np.linspace(float(lo), float(hi), int(steps))
+    for name, value in (("c", c), ("u1", u1)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    axis = np.linspace(float(lo), float(hi), int(steps)).tolist()
     lines = ["u2,u3,value"]
     for u2 in axis:
         for u3 in axis:
             val = c ** 2 * (u1 ** 3 + u2 ** 3 + u3 ** 3) + (c ** 3 - 4.0) * u1 * u2 * u3
+            if not np.isfinite(val):
+                raise OverflowError(f"the value at u2={u2:.17g}, u3={u3:.17g} overflows")
             lines.append(
                 "%.17g,%.17g,%.17g" % (u2, u3, np.sqrt(val + 0j).real)
             )

@@ -217,13 +217,12 @@ def _build_system(pres: Presentation, jordan_kind, n):
         for word, coef in relation.terms.items():
             if len(word) > 2:
                 raise ValueError("relation of degree > 2 in the unknowns")
-            value = coef.evaluate({})
             if len(word) == 2:
-                q += value * np.einsum("aij,bjk->abik", images[word[0]], images[word[1]])
+                q += coef * np.einsum("aij,bjk->abik", images[word[0]], images[word[1]])
             elif word:
-                q[0] += value * images[word[0]]
+                q[0] += coef * images[word[0]]
             else:
-                q[0, 0] += value * np.eye(n)
+                q[0, 0] += coef * np.eye(n)
         forms.append(q.transpose(2, 3, 0, 1).reshape(n * n, *shape[:2]))
     q = np.concatenate(forms)
     quad = q[:, 1:, 1:]

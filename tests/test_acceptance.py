@@ -242,7 +242,6 @@ def test_criterion_05_sigma_order():
 
 def test_criterion_06_center_and_xc(representative_samples):
     with criterion(6, "central characters land on the center variety; smooth off 0"):
-        u_words = center_words()
         checked = 0
         gradient_points = 0
         for fid, reps in representative_samples.items():
@@ -263,8 +262,8 @@ def test_criterion_06_center_and_xc(representative_samples):
         # every center word evaluates to the zero 2x2 deviation on that rep
         rep = family("t3f2", {"c": 2.0, "z4": 1.0})
         mats = rep.matrices(("x", "y", "z"))
-        for word in u_words:
-            m = eval_ncpoly(word, mats, rep.env)
+        for word in center_words(rep.env["c"]):
+            m = eval_ncpoly(word, mats)
             assert max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1])) <= 1e-12
         # the origin is the singular point
         assert np.linalg.norm(xc_gradient(2.0, (0, 0, 0, 0))) == 0.0

@@ -59,6 +59,24 @@ def test_verify_constraint_violation_exits_2():
     assert "z4" in err
 
 
+@pytest.mark.parametrize("z4", ["1e100", "1e200"])
+def test_verify_family_overflow_exits_2(z4, capsys):
+    # 1e100 overflows in the central character, 1e200 while building the family
+    assert main(["verify", "--family", "t3f2", "--set", f"c=2,z4={z4}"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--set" in captured.err and "overflow" in captured.err
+
+
+def test_verify_rep_overflow_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rep_to_json(family("t3f2", {"c": 2.0, "z4": 1e100}))))
+    assert main(["verify", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--rep" in captured.err and "overflow" in captured.err
+
+
 def test_verify_rep_file_reducible(tmp_path):
     rep = {
         "n": 2,
@@ -162,6 +180,16 @@ def test_sigma_orders():
     assert "exceeds 8" in out
 
 
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_sigma_rejects_non_finite_parameter(name, capsys):
+    values = {"a": "1", "b": "1", "c": "2", name: "1e400"}
+    argv = ["sigma"] + [arg for k in "abc" for arg in (f"--{k}", values[k])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"--{name} must be finite" in captured.err
+
+
 def test_solve_cli_runs_and_matches():
     code, out, _ = run_cli(
         ["solve", "--algebra", "sklyanin", "--c", "5", "--jordan", "two",
@@ -209,6 +237,16 @@ def test_slice_csv_and_malformed_grid():
         code, out, err = run_cli(["slice", "--c", "5", "--u1", "0", "--grid", grid])
         assert code == 2 and not out
         assert "grid bounds must be finite with at least one step" in err
+    for args, message in (
+        (["--c", "1e400", "--u1", "1"], "c must be finite"),
+        (["--c", "5", "--u1", "1e400"], "u1 must be finite"),
+        (["--c", "2", "--u1", "1e200"], "--u1"),
+        (["--c", "2", "--u1", "1", "--grid", "0:1e200:2"], "--grid"),
+    ):
+        grid = [] if "--grid" in args else ["--grid", "0:1:2"]
+        code, out, err = run_cli(["slice", *args, *grid])
+        assert code == 2 and not out, args
+        assert message in err and "Traceback" not in err, args
 
 
 def test_seed_env_override():

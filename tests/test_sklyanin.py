@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sklyrep.freealg import Coef, _fmt_complex, eval_ncpoly, parse_ncpoly
+from sklyrep.freealg import NcPoly, eval_ncpoly
 from sklyrep.reptheory import (
     Presentation,
     Rep,
@@ -48,9 +48,9 @@ def test_presentation_numeric_coefficients():
     pres = presentation(SklyaninParams(1.0, 1.0, 2.0))
     assert pres.generators == ("x", "y", "z")
     r1 = pres.relations[0]
-    assert r1.terms[(1, 2)] == Coef.const(1.0)  # yz
-    assert r1.terms[(2, 1)] == Coef.const(1.0)  # zy
-    assert r1.terms[(0, 0)] == Coef.const(2.0)  # 2 x^2
+    assert r1.terms[(1, 2)] == 1.0  # yz
+    assert r1.terms[(2, 1)] == 1.0  # zy
+    assert r1.terms[(0, 0)] == 2.0  # 2 x^2
 
 
 def test_invalid_parameters_rejected():
@@ -267,16 +267,17 @@ def test_table2_family6_equivalent_to_family5(rng):
 
 
 def test_center_words_shapes():
-    u1, u2, u3, g = center_words()
+    c = 2.0 - 0.5j
+    u1, u2, u3, g = center_words(c)
     assert set(u1.terms) == {(0, 0)}
     assert set(u3.terms) == {(2, 2)}
     assert set(g.terms) == {(1, 1, 1), (1, 0, 2), (0, 1, 2), (0, 0, 0)}
-    assert g.terms[(1, 1, 1)] == Coef.param("c")
-    assert g.terms[(1, 0, 2)] == Coef.const(1.0)
-    assert g.terms[(0, 1, 2)] == Coef.const(-1.0)
-    assert g.terms[(0, 0, 0)] == -Coef.param("c")
+    assert g.terms[(1, 1, 1)] == c
+    assert g.terms[(1, 0, 2)] == 1.0
+    assert g.terms[(0, 1, 2)] == -1.0
+    assert g.terms[(0, 0, 0)] == -c
     eye = np.eye(2)
-    out = eval_ncpoly(u3, [np.zeros((2, 2)), np.zeros((2, 2)), eye], {"c": 2.0})
+    out = eval_ncpoly(u3, [np.zeros((2, 2)), np.zeros((2, 2)), eye])
     assert np.allclose(out, eye)
 
 
@@ -341,16 +342,15 @@ def test_center_char_dataclass_point():
     assert np.allclose(ch.point, [1, 2, 3, 4])
 
 
-def _text_presentation(a, b, c):
-    """S(a,b,c) as printed to text and parsed back, the reference form."""
-    a, b, c = (_fmt_complex(v) for v in (a, b, c))
+def _literal_presentation(a, b, c):
+    """S(a,b,c) written out word by word, the reference form."""
     gens = ("x", "y", "z")
-    texts = (
-        f"({a})*y*z + ({b})*z*y + ({c})*x^2",
-        f"({a})*z*x + ({b})*x*z + ({c})*y^2",
-        f"({a})*x*y + ({b})*y*x + ({c})*z^2",
-    )
-    return Presentation(gens, tuple(parse_ncpoly(t, gens) for t in texts))
+    x, y, z = range(3)
+    return Presentation(gens, (
+        NcPoly(gens, {(y, z): a, (z, y): b, (x, x): c}),
+        NcPoly(gens, {(z, x): a, (x, z): b, (y, y): c}),
+        NcPoly(gens, {(x, y): a, (y, x): b, (z, z): c}),
+    ))
 
 
 @pytest.mark.parametrize(
@@ -359,7 +359,7 @@ def _text_presentation(a, b, c):
     + [(1.5, -0.5 + 0.25j, 2.0)],
 )
 def test_presentation_matches_text_form(a, b, c):
-    expected = _text_presentation(a, b, c)
+    expected = _literal_presentation(a, b, c)
     built = [presentation(SklyaninParams(a, b, c))]
     if a == b == 1.0:
         built.append(s11c_presentation(c))
