@@ -10,6 +10,8 @@ floating-point values with 17 significant digits.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import re
@@ -103,8 +105,10 @@ def _parse_assignments(text: str) -> dict:
             continue
         if "=" not in item:
             raise UsageError(f"expected name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        env[name.strip()] = parse_complex(value)
+        name, value = (part.strip() for part in item.split("=", 1))
+        env[name] = parse_complex(value)
+        if not cmath.isfinite(env[name]):
+            raise UsageError(f"--set: {name} must be finite")
     return env
 
 
@@ -182,14 +186,17 @@ def cmd_verify(args) -> int:
     if (args.rep is None) == (args.family is None):
         raise UsageError("exactly one of --rep and --family is required")
     try:
-        if args.rep is not None:
-            with open(args.rep) as fh:
-                rep = rep_from_json(json.load(fh))
-        else:
-            env = _parse_assignments(args.set or "")
-            rep = sklyanin.family(args.family, env, branch=args.branch)
-        payload = _verify_payload(rep, args.tol)
-    except OverflowError:
+        # inputs are finite, so an inf or NaN can only come from an overflow;
+        # raising at the first one keeps numpy from warning on every later step
+        with np.errstate(over="raise"):
+            if args.rep is not None:
+                with open(args.rep) as fh:
+                    rep = rep_from_json(json.load(fh))
+            else:
+                env = _parse_assignments(args.set or "")
+                rep = sklyanin.family(args.family, env, branch=args.branch)
+            payload = _verify_payload(rep, args.tol)
+    except (OverflowError, FloatingPointError):
         flag = "--rep" if args.rep is not None else "--set"
         raise UsageError(f"{flag}: values too large, the arithmetic overflows") from None
     if args.format == "human":
@@ -316,7 +323,9 @@ def cmd_slice(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="sklyrep",
         description=(
@@ -399,10 +408,9 @@ def _fold_argv(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_fold_argv(list(argv)))
+    args = _build_parser().parse_args(_fold_argv(list(argv)))
     # only the randomized commands take a seed, so only they read the variable
     if "seed" in vars(args) and args.seed is None:
         try:
@@ -422,7 +430,9 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -213,11 +213,26 @@ def conjugate_rep(rep: Rep, q) -> Rep:
     return Rep(rep.n, images, dict(rep.env))
 
 
-def _well_conditioned_det(q):
-    nrm = np.linalg.norm(q)
-    if nrm == 0.0:
-        return 0.0
-    return abs(np.linalg.det(q)) / nrm ** q.shape[0]
+def _well_conditioned_det(qs):
+    """|det Q| / ||Q||^n for each Q of a stack, 0 where Q = 0."""
+    n = qs.shape[-1]
+    dets = np.abs(np.linalg.det(qs))
+    norms = np.sqrt(np.sum(qs.real ** 2 + qs.imag ** 2, axis=(-2, -1))) ** n
+    return np.divide(dets, norms, out=np.zeros_like(dets), where=norms > 0.0)
+
+
+def _sylvester_system(m1, m2):
+    """Stacked ``I (x) M1^T - M2 (x) I`` over a ``(k, n, n)`` pair of stacks.
+
+    Row ``g n^2 + i n + k`` is the ``(i, k)`` entry of ``Q M1_g - M2_g Q``
+    for vec(Q) row-major.  The identity products are the ones ``np.kron``
+    forms, so the matrix equals the stacked ``np.kron`` blocks bit for bit.
+    """
+    k, n, _ = m1.shape
+    eye = np.eye(n, dtype=complex)
+    left = eye[None, :, None, :, None] * m1.transpose(0, 2, 1)[:, None, :, None, :]
+    right = m2[:, :, None, :, None] * eye[None, None, :, None, :]
+    return (left - right).reshape(k * n * n, n * n)
 
 
 def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
@@ -226,8 +241,10 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     Stacks the Sylvester equations Q M1 - M2 Q = 0 over vec(Q) (row-major)
     and searches the nullspace for an invertible element; for a pair of
     irreducible representations the nullspace is at most one-dimensional,
-    so invertibility of its basis vector decides.  The returned Q is
-    verified against all generators before being accepted.
+    so invertibility of its basis vector decides.  A larger nullspace is
+    searched through 32 seeded random combinations, best conditioned
+    first.  The returned Q is verified against all generators before being
+    accepted.
     """
     if r1.n != r2.n:
         return None
@@ -235,37 +252,33 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     if gens != r2.generators:
         raise ValueError("representations over different generator sets")
     n = r1.n
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for g in gens:
-        m1, m2 = r1.images[g], r2.images[g]
-        blocks.append(np.kron(eye, m1.T) - np.kron(m2, eye))
-    system = np.vstack(blocks)
-    basis = nullspace(system, tol)
+    m1 = np.array([r1.images[g] for g in gens])
+    m2 = np.array([r2.images[g] for g in gens])
+    basis = nullspace(_sylvester_system(m1, m2), tol)
     if not basis:
         return None
 
-    def as_q(vec):
-        return vec.reshape(n, n)
-
-    candidates = []
     if len(basis) == 1:
-        candidates.append(as_q(basis[0]))
+        qs = basis[0].reshape(1, n, n)
     else:
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            candidates.append(as_q(sum(c * b for c, b in zip(coeffs, basis))))
-        candidates.sort(key=_well_conditioned_det, reverse=True)
+        # one candidate's real and imaginary coefficients are consecutive
+        # draws, and its sum runs over the basis in order, term by term
+        draws = np.random.default_rng(0).standard_normal((32, 2, len(basis)))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        qs = 0
+        for c, b in zip(coeffs.T, basis):
+            qs = qs + c[:, None] * b
+        qs = qs.reshape(32, n, n)
+    keys = _well_conditioned_det(qs).tolist()
 
-    for q in candidates:
-        if _well_conditioned_det(q) <= tol:
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        if keys[i] <= tol:
             continue
+        q = qs[i]
         qi = np.linalg.inv(q)
         ok = all(
-            np.linalg.norm(q @ r1.images[g] @ qi - r2.images[g])
-            <= 10.0 * tol * (1.0 + np.linalg.norm(r2.images[g]))
-            for g in gens
+            np.linalg.norm(q @ a @ qi - b) <= 10.0 * tol * (1.0 + np.linalg.norm(b))
+            for a, b in zip(m1, m2)
         )
         if ok:
             return q / np.linalg.norm(q)

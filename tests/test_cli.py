@@ -59,22 +59,41 @@ def test_verify_constraint_violation_exits_2():
     assert "z4" in err
 
 
-@pytest.mark.parametrize("z4", ["1e100", "1e200"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z4", ["1e100", "1e120", "1e200"])
 def test_verify_family_overflow_exits_2(z4, capsys):
-    # 1e100 overflows in the central character, 1e200 while building the family
+    # 1e100 overflows in the central character, 1e120 in the word products of
+    # the relations and the Burnside test, 1e200 while building the family
     assert main(["verify", "--family", "t3f2", "--set", f"c=2,z4={z4}"]) == 2
     captured = capsys.readouterr()
     assert not captured.out
     assert "--set" in captured.err and "overflow" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_rep_overflow_exits_2(tmp_path, capsys):
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(rep_to_json(family("t3f2", {"c": 2.0, "z4": 1e100}))))
-    assert main(["verify", "--rep", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert "--rep" in captured.err and "overflow" in captured.err
+    for z4 in (1e100, 1e120):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(rep_to_json(family("t3f2", {"c": 2.0, "z4": z4}))))
+        assert main(["verify", "--rep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "--rep" in captured.err and "overflow" in captured.err
+
+
+@pytest.mark.parametrize(
+    "assignments, message",
+    [
+        ("zz:c=2", "unknown family id 'zz'"),
+        ("t4f3:c=2", "family t4f3 needs parameters ['y4', 'z4']"),
+        ("t3f2:c=2,z4=1e400", "--set: z4 must be finite"),
+    ],
+    ids=["unknown_family", "missing_parameters", "non_finite"],
+)
+def test_verify_family_usage_error_message(assignments, message, capsys):
+    fid, values = assignments.split(":")
+    assert main(["verify", "--family", fid, "--set", values]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_rep_file_reducible(tmp_path):
@@ -396,6 +415,27 @@ def test_classify_input_must_be_a_list(tmp_path, capsys):
     path.write_text(json.dumps(_trivial_rep_json()))
     assert main(["classify", "--input", str(path)]) == 2
     assert "--input" in capsys.readouterr().err
+
+
+def test_reused_parser_matches_fresh_processes(monkeypatch, capsys):
+    # main() builds its parser once per process; later calls must not see
+    # state left by earlier ones
+    sigma = ["sigma", "--a", "1", "--b", "1", "--c", "2"]
+    steps = [
+        (sigma, "5"),
+        (["sigma", "--a", "1", "--c", "2"], "5"),
+        (["verify", "--family", "t3f2", "--set", "c=2,z4=1", "--format", "human"], "5"),
+        (sigma, "777"),
+    ]
+    for argv, seed in steps:
+        monkeypatch.setenv("SKLYREP_SEED", seed)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == run_cli(argv, SKLYREP_SEED=seed)[:2], argv
+    assert json.loads(out)["seed"] == 777
 
 
 def test_main_returns_int_in_process(capsys):

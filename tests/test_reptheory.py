@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from sklyrep.matkit import nullspace
 from sklyrep.reptheory import (
     Rep,
+    _sylvester_system,
     classify,
     conjugate_rep,
     find_conjugator,
@@ -120,6 +122,83 @@ def test_find_conjugator_none_between_distinct_classes(rng):
     r1 = sample_family("t4f1", rng, c=5.0)
     r2 = sample_family("t4f2", rng, c=5.0)
     assert find_conjugator(r1, r2) is None
+
+
+def _kron_system(m1, m2):
+    """The stacked Sylvester matrix built block by block with np.kron (reference)."""
+    eye = np.eye(m1.shape[-1], dtype=complex)
+    return np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(m1, m2)])
+
+
+def _draw_find_conjugator(r1, r2, tol=1e-8):
+    """find_conjugator with np.kron blocks and 32 separate coefficient draws (reference)."""
+    n, gens = r1.n, r1.generators
+    stack = [np.array([r.images[g] for g in gens]) for r in (r1, r2)]
+    basis = nullspace(_kron_system(*stack), tol)
+    if not basis:
+        return None
+
+    def key(q):
+        nrm = np.linalg.norm(q)
+        return 0.0 if nrm == 0.0 else abs(np.linalg.det(q)) / nrm ** n
+
+    candidates = [basis[0].reshape(n, n)]
+    if len(basis) > 1:
+        rng = np.random.default_rng(0)
+        candidates = []
+        for _ in range(32):
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            candidates.append(sum(c * b for c, b in zip(coeffs, basis)).reshape(n, n))
+        candidates.sort(key=key, reverse=True)
+    for q in candidates:
+        if key(q) <= tol:
+            continue
+        qi = np.linalg.inv(q)
+        if all(
+            np.linalg.norm(q @ r1.images[g] @ qi - r2.images[g])
+            <= 10.0 * tol * (1.0 + np.linalg.norm(r2.images[g]))
+            for g in gens
+        ):
+            return q / np.linalg.norm(q)
+    return None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sylvester_system_matches_kron(n, k, rng):
+    palette = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.25e-9, 7.0e12])
+    for _ in range(10):
+        m1, m2 = (np.empty((k, n, n), dtype=complex) for _ in range(2))
+        for m in (m1, m2):
+            # signed zeros and exact values in either part, next to random entries
+            m.real = np.where(rng.random(m.shape) < 0.5, rng.choice(palette, m.shape),
+                              rng.standard_normal(m.shape))
+            m.imag = np.where(rng.random(m.shape) < 0.5, rng.choice(palette, m.shape),
+                              rng.standard_normal(m.shape))
+        assert _sylvester_system(m1, m2).tobytes() == _kron_system(m1, m2).tobytes()
+
+
+def test_find_conjugator_matches_separate_draws_on_upper_triangular_pairs(rng):
+    # strictly upper triangular pairs have a 2-dimensional Sylvester kernel,
+    # and an invertible element of it exactly when their corners are proportional
+    def upper(corner):
+        return Rep(2, {g: [[0.0, v], [0.0, 0.0]] for g, v in zip("xyz", corner)})
+
+    hits = 0
+    for i in range(40):
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w = v * complex(*rng.standard_normal(2)) if i % 2 else rng.standard_normal(3) + 0j
+        if i % 4 < 2:
+            r1, r2 = upper(v), upper(w)
+        else:
+            r1 = conjugate_rep(upper(v), random_conjugator(rng))
+            r2 = conjugate_rep(upper(w), random_conjugator(rng))
+        q, ref = find_conjugator(r1, r2), _draw_find_conjugator(r1, r2)
+        assert (q is None) == (ref is None)
+        if q is not None:
+            assert q.tobytes() == ref.tobytes()
+            hits += 1
+    assert hits == 20
 
 
 def test_classify_conjugates_into_one_class(rng):
