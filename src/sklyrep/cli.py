@@ -139,18 +139,26 @@ def _verify_payload(rep, tol):
         "fingerprint": [_complex_to_pair(z) for z in fingerprint(rep)] if rep.n == 2 else None,
     }
     if residual <= tol:
-        if len(rep.generators) == 3:
-            char = sklyanin.central_character(rep, tol=max(tol, 1e-7))
-            payload["central_character"] = {
-                "u1": _complex_to_pair(char.u1),
-                "u2": _complex_to_pair(char.u2),
-                "u3": _complex_to_pair(char.u3),
-                "g": _complex_to_pair(char.g),
-                "f_residual": char.f_residual,
-            }
-        else:
-            u1, u2 = skew_center_point(rep, tol=max(tol, 1e-7))
-            payload["central_character"] = {"u1": _complex_to_pair(u1), "u2": _complex_to_pair(u2)}
+        # a non-scalar centre (a reducible rep mixing points) has no character;
+        # the verdict stands and the reason is reported beside the null
+        try:
+            if len(rep.generators) == 3:
+                char = sklyanin.central_character(rep, tol=max(tol, 1e-7))
+                payload["central_character"] = {
+                    "u1": _complex_to_pair(char.u1),
+                    "u2": _complex_to_pair(char.u2),
+                    "u3": _complex_to_pair(char.u3),
+                    "g": _complex_to_pair(char.g),
+                    "f_residual": char.f_residual,
+                }
+            else:
+                u1, u2 = skew_center_point(rep, tol=max(tol, 1e-7))
+                payload["central_character"] = {
+                    "u1": _complex_to_pair(u1), "u2": _complex_to_pair(u2)
+                }
+        except ValueError as exc:
+            payload["central_character"] = None
+            payload["central_character_error"] = str(exc)
     return payload
 
 
@@ -171,7 +179,9 @@ def _verify_human(payload) -> str:
             + ", ".join(_fmt_c(complex(a, b)) for a, b in payload["fingerprint"])
         )
     char = payload.get("central_character")
-    if char:
+    if "central_character_error" in payload:
+        lines.append(f"central character: none ({payload['central_character_error']})")
+    elif char:
         vals = ", ".join(
             f"{k}={_fmt_c(complex(*char[k]))}" for k in ("u1", "u2", "u3", "g") if k in char
         )
@@ -218,7 +228,12 @@ def cmd_classify(args) -> int:
         for r in reps[1:]:
             if r.generators != gens or r.n != n or r.env.get("c") != c0:
                 raise UsageError("representations come from mixed presentations")
-    classes = classify(reps, args.tol)
+    try:
+        # entries are finite, so an inf or NaN can only come from an overflow
+        with np.errstate(over="raise"):
+            classes = classify(reps, args.tol)
+    except (OverflowError, FloatingPointError):
+        raise UsageError("--input: values too large, the arithmetic overflows") from None
     payload = {
         "count": len(reps),
         "classes": [

@@ -127,26 +127,27 @@ def central_values(pres: Presentation, words, rep: Rep, tol: float) -> list:
     """Scalar values tr(w)/n of central elements ``words`` on a solution rep.
 
     The representation must satisfy the relations of ``pres`` to within
-    ``tol``.  On a 2-dimensional irreducible representation each central
-    image must be scalar to within ``tol``; otherwise a ``ValueError`` is
-    raised.
+    ``tol``, and each central image m must be scalar:
+    ``||m - (tr m / n) I|| <= tol * (1 + ||m||)``.  Otherwise a ``ValueError``
+    is raised.  The test runs for every n and on reducible representations
+    too, where a direct sum of points with different characters has a
+    non-scalar centre and no central character.
     """
     res = relation_residual(pres, rep)
     if res > tol:
         raise ValueError(f"not a solution representation (residual {res:.3e})")
     mats = rep.matrices(pres.generators)
-    irreducible = is_irreducible_burnside(rep)
     values = []
     for word in words:
         m = eval_ncpoly(word, mats)
-        if irreducible and rep.n == 2:
-            deviation = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
-            if deviation > tol * (1.0 + np.linalg.norm(m)):
-                raise ValueError(
-                    f"central element is not scalar on an irreducible representation "
-                    f"(deviation {deviation:.3e})"
-                )
-        values.append(np.trace(m) / rep.n)
+        value = np.trace(m) / rep.n
+        deviation = np.linalg.norm(m - value * np.eye(rep.n))
+        bound = tol * (1.0 + np.linalg.norm(m))
+        if deviation > bound:
+            raise ValueError(
+                f"central element is not scalar: deviation {deviation:.3e} > {bound:.3e}"
+            )
+        values.append(value)
     return values
 
 

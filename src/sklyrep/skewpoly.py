@@ -64,7 +64,8 @@ def skew_rep(spec: SkewRepSpec) -> Rep:
 def skew_center_point(rep: Rep, tol: float = DEFAULT_RTOL):
     """Values (u1, u2) of the central generators x^2, y^2 on a solution rep.
 
-    Scalarity of the central images is enforced on irreducible reps.
+    Each central image must be scalar to within ``tol``, on reducible reps
+    too; otherwise a ``ValueError`` is raised.
     """
     return tuple(central_values(_PRESENTATION, _CENTER_WORDS, rep, tol))
 

@@ -600,10 +600,10 @@ def f_value(c, point) -> complex:
 def central_character(rep: Rep, tol: float = 1e-7) -> CenterChar:
     """Evaluate the center on a solution representation of S(1,1,c).
 
-    The representation must satisfy the relations to within ``tol``.  On an
-    irreducible representation each central image must be scalar to within
-    ``tol`` (otherwise an error is raised); the scalar parts and the
-    residual of the degree-6 relation are returned.
+    The representation must satisfy the relations to within ``tol``, and
+    each central image must be scalar to within ``tol`` (otherwise a
+    ``ValueError`` is raised, also on a reducible representation); the
+    scalar parts and the residual of the degree-6 relation are returned.
     """
     c = rep.env.get("c")
     if c is None:

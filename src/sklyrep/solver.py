@@ -17,7 +17,10 @@ character.  These 2-dimensional solves run the serial
 The 1-dimensional sweep (``one_dim_solutions``) runs all of its starts
 through ``_gauss_newton_batch``, which takes the same iteration on an
 ``(S, n)`` stack of starts: batched residuals and Jacobians, least-squares
-steps from a batched SVD pseudo-inverse, and step halving per start.
+steps by the ``lstsq(rcond=None)`` rule (``_lstsq_steps``), and step halving
+per start.  A square Jacobian that carries a conditioning certificate gets
+its step from one batched LU solve; every other row takes the SVD
+pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ DEFAULT_SLICES = {"one_block": 2, "two_blocks": 3}
 KEEP_RESIDUAL = 1e-9
 CONVERGE_RESIDUAL = 1e-11
 MAX_STEPS = 100
+
+# a square n x n Jacobian with |det J| > SOLVE_CERTIFICATE * ||J||_F^n has
+# sigma_min / sigma_max >= |det J| / ||J||_F^n, so cond(J) < 1e8: lstsq with
+# rcond=None drops none of its singular values, and its step is the unique
+# solution an LU solve computes
+SOLVE_CERTIFICATE = 1e-8
 
 # probability that one slice is a coordinate-vanishing functional e_j . u = 0;
 # those keep the coordinate-degenerate solution components inside the sliced
@@ -261,13 +270,38 @@ def _gauss_newton(system, u0):
     return u, rn, rn <= CONVERGE_RESIDUAL
 
 
+def _lstsq_steps(jac, rhs):
+    """Least-squares solutions of ``jac[s] @ x = rhs[s]`` for each row s of the
+    (S, k, n) stack ``jac``, by the ``np.linalg.lstsq(rcond=None)`` rule.
+
+    Rows with a square Jacobian that passes the ``SOLVE_CERTIFICATE`` test
+    take one batched ``np.linalg.solve``.  Every other row (non-square,
+    singular, ill-conditioned, or not finite) takes the pseudo-inverse whose
+    ``rtol=None`` cut-off is the ``lstsq(rcond=None)`` one.
+    """
+    S, k, n = jac.shape
+    steps = np.empty((S, n), dtype=complex)
+    certified = np.zeros(S, dtype=bool)
+    if k == n:
+        # a non-finite or overflowing row fails the comparison quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.linalg.norm(jac, axis=(1, 2)) ** n
+            certified = np.abs(np.linalg.det(jac)) > SOLVE_CERTIFICATE * scale
+        steps[certified] = np.linalg.solve(jac[certified], rhs[certified, :, None])[..., 0]
+    rest = ~certified
+    if rest.any():
+        pinv = np.linalg.pinv(jac[rest], rtol=None)
+        steps[rest] = np.einsum("snk,sk->sn", pinv, rhs[rest])
+    return steps
+
+
 def _gauss_newton_batch(system, U0):
     """``_gauss_newton`` run on every row of the (S, n) stack U0 at once.
 
-    Each row follows the serial iteration: a least-squares step, then up to
-    30 halvings until the residual norm drops.  A row freezes once it
-    converges or when no halving improves it.  Returns the endpoints, their
-    residual norms and the converged flags.
+    Each row follows the serial iteration: a least-squares step
+    (``_lstsq_steps``), then up to 30 halvings until the residual norm
+    drops.  A row freezes once it converges or when no halving improves it.
+    Returns the endpoints, their residual norms and the converged flags.
     """
     U = np.array(U0, dtype=complex)
     R = system.residuals(U)
@@ -278,9 +312,7 @@ def _gauss_newton_batch(system, U0):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        # pinv with rtol=None drops singular values by the lstsq(rcond=None) rule
-        pinv = np.linalg.pinv(system.jacobians(U[rows]), rtol=None)
-        step = np.einsum("snk,sk->sn", pinv, -R[rows])
+        step = _lstsq_steps(system.jacobians(U[rows]), -R[rows])
         t = 1.0
         for _halving in range(30):
             U_try = U[rows] + t * step

@@ -7,7 +7,7 @@ import pytest
 
 from sklyrep import solver
 from sklyrep.cli import main, parse_complex
-from sklyrep.reptheory import conjugate_rep, rep_to_json
+from sklyrep.reptheory import Rep, conjugate_rep, rep_to_json
 from sklyrep.sklyanin import family
 
 from conftest import subprocess_env
@@ -114,6 +114,25 @@ def test_verify_rep_file_reducible(tmp_path):
     assert payload["residual"] == 0.0
     assert payload["irreducible_burnside"] is False
     assert payload["invariant_line"] is not None
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_non_scalar_centre_reports_no_character(tmp_path, capsys):
+    # t3f2 (+) trivial solves the relations, but its centre mixes two points
+    member = family("t3f2", {"c": 2.0, "z4": 0.7})
+    images = {g: np.pad(m, ((0, 1), (0, 1))) for g, m in member.images.items()}
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(rep_to_json(Rep(3, images, dict(member.env)))))
+    assert main(["verify", "--rep", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residual"] <= 1e-12
+    assert payload["irreducible_burnside"] is False
+    assert payload["central_character"] is None
+    assert payload["central_character_error"].startswith("central element is not scalar")
+    assert main(["verify", "--rep", str(path), "--format", "human"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"central character: none ({payload['central_character_error']})"
+    assert lines[-1] == "verdict: PASS"
 
 
 def test_verify_residual_failure_exits_1(tmp_path):
@@ -415,6 +434,18 @@ def test_classify_input_must_be_a_list(tmp_path, capsys):
     path.write_text(json.dumps(_trivial_rep_json()))
     assert main(["classify", "--input", str(path)]) == 2
     assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_overflow_exits_2(tmp_path, capsys):
+    # the entries are finite, but the fingerprint's word products overflow
+    rep = rep_to_json(family("t3f2", {"c": 2.0, "z4": 1e120}))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([rep, rep]))
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: --input: values too large, the arithmetic overflows\n"
 
 
 def test_reused_parser_matches_fresh_processes(monkeypatch, capsys):

@@ -70,6 +70,15 @@ def test_center_point_rejects_non_solutions(rng):
         skew_center_point(rep)
 
 
+def test_center_point_rejects_mixed_direct_sum():
+    from sklyrep.reptheory import Rep
+
+    # one_dim_x(1) (+) one_dim_x(2) solves the relation, but x^2 = diag(1, 4)
+    rep = Rep(2, {"x": np.diag([1.0, 2.0]), "y": np.zeros((2, 2))}, {})
+    with pytest.raises(ValueError, match="not scalar"):
+        skew_center_point(rep)
+
+
 def test_equivalence_exactly_when_center_points_agree(rng):
     for _ in range(40):
         alpha = complex(rng.standard_normal(), rng.standard_normal())

@@ -38,7 +38,7 @@ from sklyrep.sklyanin import (
 )
 from sklyrep.solver import _build_system
 
-from conftest import random_param, random_valid_c, sample_family
+from conftest import random_conjugator, random_param, random_valid_c, sample_family
 
 
 # --- parameters and presentation ---------------------------------------------
@@ -315,6 +315,38 @@ def test_central_scalarity_on_samples(rng):
         rep = sample_family(fid, rng)
         char = central_character(rep, tol=1e-7)
         assert char.f_residual <= 1e-6
+
+
+def _t3f2_plus_trivial():
+    member = family("t3f2", {"c": 2.0, "z4": 0.7})
+    images = {g: np.pad(m, ((0, 1), (0, 1))) for g, m in member.images.items()}
+    return Rep(3, images, dict(member.env))
+
+
+def test_central_character_rejects_non_scalar_centre():
+    # the direct sum mixes the t3f2 point with the origin, so the trace
+    # average tr(m)/3 is no character
+    with pytest.raises(ValueError, match="not scalar"):
+        central_character(_t3f2_plus_trivial())
+
+
+def test_central_character_on_upper_triangular_reps_and_every_family(rng):
+    for _ in range(20):
+        c = random_valid_c(rng)
+        upper = {
+            g: np.array([[0.0, random_param(rng)], [0.0, 0.0]], dtype=complex)
+            for g in ("x", "y", "z")
+        }
+        rep = Rep(2, upper, {"c": c})
+        assert central_character(rep).point.tolist() == [0, 0, 0, 0]
+        q = random_conjugator(rng)
+        qinv = np.linalg.inv(q)
+        conj = Rep(2, {g: q @ m @ qinv for g, m in upper.items()}, {"c": c})
+        assert np.max(np.abs(central_character(conj).point)) <= 1e-12
+    for fid in family_ids():
+        for _ in range(10):
+            char = central_character(sample_family(fid, rng), tol=1e-7)
+            assert char.f_residual <= 1e-6
 
 
 def test_xc_gradient_values():

@@ -15,6 +15,7 @@ from sklyrep.solver import (
     _disk_samples,
     _gauss_newton,
     _gauss_newton_batch,
+    _lstsq_steps,
     _rep_from_unknowns,
     one_dim_solutions,
     report_to_json,
@@ -111,6 +112,9 @@ def test_batched_kernel_matches_serial_reference():
     # u^2 = 1: full steps from near 0 overshoot, so the step halving runs
     systems.append(_QuadSystem(np.ones((1, 1, 1), complex), np.zeros((1, 1), complex),
                                -np.ones(1, complex)))
+    # two copies of u0^2 + u1^2 = 1: a square Jacobian that is singular everywhere
+    systems.append(_QuadSystem(np.stack([np.eye(2, dtype=complex)] * 2),
+                               np.zeros((2, 2), complex), -np.ones(2, complex)))
     for system in systems:
         starts = _disk_samples(rng, (50, system.n_unknowns))
         ends, _, converged = _gauss_newton_batch(system, starts)
@@ -118,6 +122,51 @@ def test_batched_kernel_matches_serial_reference():
             ref, _, ref_ok = _gauss_newton(system, u0)
             assert ok == ref_ok
             assert np.max(np.abs(u - ref)) <= 1e-12
+
+
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def test_lstsq_steps_follow_the_lstsq_rule(monkeypatch):
+    rng = np.random.default_rng(41)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def with_singular_values(sv):
+        n = len(sv)
+        return _random_unitary(rng, n) @ np.diag(sv) @ _random_unitary(rng, n).conj().T
+
+    square = np.array([
+        cplx(3, 3),
+        with_singular_values([1.0, 1.0, 1.0]),
+        np.outer(cplx(3), cplx(3).conj()),  # rank 1
+        with_singular_values([2.0, 1.0, 1e-12]),  # cond 2e12
+        cplx(3, 3),
+        np.zeros((3, 3)),
+    ])
+    fallback = np.array([False, False, True, True, False, True])
+    stacks = [square, cplx(4, 1, 2), cplx(4, 3, 2)]  # the skew ring's 1x2, and 3x2
+    stacks[2][0, :, 1] = 2.0 * stacks[2][0, :, 0]  # a rank-deficient non-square row
+
+    routed = []
+    pinv = np.linalg.pinv
+
+    def recording_pinv(a, **kwargs):
+        routed.append(a.copy())
+        return pinv(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    for jac in stacks:
+        rhs = cplx(*jac.shape[:2])
+        steps = _lstsq_steps(jac, rhs)
+        for j, b, x in zip(jac, rhs, steps):
+            ref = np.linalg.lstsq(j, b, rcond=None)[0]
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(routed[0], square[fallback])
+    assert [r.shape for r in routed[1:]] == [(4, 1, 2), (4, 3, 2)]
 
 
 def test_one_dim_skew_coordinate_lines():
