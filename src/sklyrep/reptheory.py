@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freealg import NcPoly, eval_ncpoly
-from .matkit import DEFAULT_RTOL, is_scalar, nullspace, rank
+from .matkit import DEFAULT_RTOL, is_scalar, nullspace
 
 __all__ = [
     "Presentation",
@@ -88,26 +88,40 @@ def relation_residual(pres: Presentation, rep: Rep) -> float:
 
 
 def _word_span_rank(mats, n, tol):
-    """Rank of the span of evaluated words, BFS by length with early exit."""
-    eye = np.eye(n, dtype=complex)
-    vecs = [eye.ravel()]
-    frontier = [eye]
-    target = n * n
-    max_len = target - 1
-    for _ in range(max_len):
-        new_frontier = []
-        for m in frontier:
-            for g in mats:
-                new_frontier.append(m @ g)
-        vecs.extend(w.ravel() for w in new_frontier)
-        if rank(np.array(vecs), tol) == target:
-            return target
-        frontier = new_frontier
-    return rank(np.array(vecs), tol)
+    """Dimension of the span of all words in the images, by span closure.
+
+    Keeps an orthonormal basis of the span, starting from I, and the part of
+    each newly spanned direction at its own magnitude.  Each round multiplies
+    only those new parts by every image, on the right, and adds the
+    directions in which the products leave the span: the singular values of
+    their projection onto the complement that exceed ``tol`` times the
+    largest word norm seen so far (the scale of the word-matrix rank test).
+    The span of words of length <= L + 1 is the span of length <= L plus its
+    new elements times the images, so the closure is reached after at most
+    n^2 rounds and n^2 * k products.
+    """
+    gens = np.array(mats, dtype=complex).reshape(-1, n, n)
+    right = gens.transpose(1, 0, 2).reshape(n, -1)  # x @ right gives every x @ g
+    basis = np.zeros((1, n * n), dtype=complex)
+    basis[0, :: n + 1] = n ** -0.5
+    products = gens.reshape(-1, n * n)  # I times each image
+    scale = np.sqrt(n)
+    while len(products):
+        scale = max(scale, np.sqrt(np.max(np.sum(np.abs(products) ** 2, axis=1))))
+        outside = products - (products @ basis.conj().T) @ basis
+        _, sv, vh = np.linalg.svd(outside, full_matrices=False)
+        kept = sv > tol * scale
+        basis = np.concatenate([basis, vh[kept]])
+        if len(basis) >= n * n:
+            break
+        new = (sv[kept, None] * vh[kept]).reshape(-1, n)
+        products = (new @ right).reshape(-1, n, len(gens), n).transpose(0, 2, 1, 3)
+        products = products.reshape(-1, n * n)
+    return len(basis)
 
 
 def is_irreducible_burnside(rep: Rep, tol: float = DEFAULT_RTOL) -> bool:
-    """True iff words of length <= n^2 - 1 in the images span all of n x n."""
+    """True iff the words in the images span all of n x n (Burnside)."""
     if rep.n == 1:
         return True
     mats = list(rep.images.values())
@@ -236,6 +250,72 @@ def _sylvester_system(m1, m2):
     return (left - right).reshape(k * n * n, n * n)
 
 
+def _balancing(mats):
+    """Powers of two ``d`` that balance the stack ``d_i m_ij / d_j``.
+
+    Osborne's iteration on the squared magnitudes summed over the stack:
+    index i is scaled until the off-diagonal norms of its row and its
+    column agree to within a factor 4.  Scaling by powers of two is exact.
+    """
+    a = np.sum(mats.real ** 2 + mats.imag ** 2, axis=0)
+    np.fill_diagonal(a, 0.0)
+    d = np.ones(len(a))
+    for _sweep in range(64):
+        changed = False
+        for i in range(len(a)):
+            row = d[i] ** 2 * (a[i] @ d ** -2.0)
+            col = d[i] ** -2.0 * (a[:, i] @ d ** 2)
+            if row == 0.0 or col == 0.0:
+                continue
+            e = round(np.log2(col / row) / 4.0)
+            if e:
+                d[i] *= 2.0 ** e
+                changed = True
+        if not changed:
+            break
+    return d
+
+
+def _conjugator_candidates(m1, m2, tol):
+    """Candidate conjugators from the nullspace of the Sylvester system.
+
+    One basis vector is the only candidate; a larger nullspace gives 32
+    seeded random combinations.  Returns an (m, n, n) stack, empty when the
+    nullspace is.
+    """
+    n = m1.shape[-1]
+    basis = nullspace(_sylvester_system(m1, m2), tol)
+    if len(basis) <= 1:
+        return np.array(basis).reshape(len(basis), n, n)
+    # one candidate's real and imaginary coefficients are consecutive
+    # draws, and its sum runs over the basis in order, term by term
+    draws = np.random.default_rng(0).standard_normal((32, 2, len(basis)))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    qs = 0
+    for c, b in zip(coeffs.T, basis):
+        qs = qs + c[:, None] * b
+    return qs.reshape(32, n, n)
+
+
+def _conjugates(q, m1, m2, tol):
+    """The acceptance test: ``||Q A Q^{-1} - B|| <= 10 tol (1 + ||B||)`` for
+    every pair (A, B) of the stacks."""
+    qi = np.linalg.inv(q)
+    return all(
+        np.linalg.norm(q @ a @ qi - b) <= 10.0 * tol * (1.0 + np.linalg.norm(b))
+        for a, b in zip(m1, m2)
+    )
+
+
+def _accepted_conjugator(qs, m1, m2, tol):
+    """The best conditioned candidate that passes the acceptance test, normalized."""
+    keys = _well_conditioned_det(qs).tolist()
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        if keys[i] > tol and _conjugates(qs[i], m1, m2, tol):
+            return qs[i] / np.linalg.norm(qs[i])
+    return None
+
+
 def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     """Invertible Q with Q M1 Q^{-1} = M2 for every generator pair, or None.
 
@@ -246,44 +326,34 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     searched through 32 seeded random combinations, best conditioned
     first.  The returned Q is verified against all generators before being
     accepted.
+
+    When that search finds nothing, the same search runs once more on the
+    pair balanced by diagonal similarities ``D1 M1 D1^{-1}`` and
+    ``D2 M2 D2^{-1}`` (``_balancing``), which recovers conjugators of badly
+    scaled pairs.  Its conjugator ``Q'`` is mapped back by
+    ``Q = D2^{-1} Q' D1`` and returned only if it passes the acceptance test
+    in the original coordinates too.  Balancing runs only on this retry, so
+    every pair the plain search accepts gets the same conjugator as before.
     """
     if r1.n != r2.n:
         return None
     gens = r1.generators
     if gens != r2.generators:
         raise ValueError("representations over different generator sets")
-    n = r1.n
     m1 = np.array([r1.images[g] for g in gens])
     m2 = np.array([r2.images[g] for g in gens])
-    basis = nullspace(_sylvester_system(m1, m2), tol)
-    if not basis:
+    q = _accepted_conjugator(_conjugator_candidates(m1, m2, tol), m1, m2, tol)
+    if q is not None:
+        return q
+    d1, d2 = _balancing(m1), _balancing(m2)
+    if np.all(d1 == 1.0) and np.all(d2 == 1.0):
         return None
-
-    if len(basis) == 1:
-        qs = basis[0].reshape(1, n, n)
-    else:
-        # one candidate's real and imaginary coefficients are consecutive
-        # draws, and its sum runs over the basis in order, term by term
-        draws = np.random.default_rng(0).standard_normal((32, 2, len(basis)))
-        coeffs = draws[:, 0] + 1j * draws[:, 1]
-        qs = 0
-        for c, b in zip(coeffs.T, basis):
-            qs = qs + c[:, None] * b
-        qs = qs.reshape(32, n, n)
-    keys = _well_conditioned_det(qs).tolist()
-
-    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        if keys[i] <= tol:
-            continue
-        q = qs[i]
-        qi = np.linalg.inv(q)
-        ok = all(
-            np.linalg.norm(q @ a @ qi - b) <= 10.0 * tol * (1.0 + np.linalg.norm(b))
-            for a, b in zip(m1, m2)
-        )
-        if ok:
-            return q / np.linalg.norm(q)
-    return None
+    b1, b2 = m1 * d1[:, None] / d1, m2 * d2[:, None] / d2
+    q = _accepted_conjugator(_conjugator_candidates(b1, b2, tol), b1, b2, tol)
+    if q is None:
+        return None
+    q = q * d1 / d2[:, None]
+    return q / np.linalg.norm(q) if _conjugates(q, m1, m2, tol) else None
 
 
 @dataclass
@@ -298,30 +368,99 @@ class EquivClass:
 # relative fingerprint gap above which classify skips the conjugator search
 FINGERPRINT_RTOL = 1e-6
 
+# relation keys (``_relation_keys``): the row-space directions of one
+# representation's word matrix with singular values above KEY_CUTS[0] of its
+# largest must lie, to within KEY_RTOL, in the span of the other's directions
+# above KEY_CUTS[1], and the other way round
+KEY_CUTS = (1e-3, 1e-6)
+KEY_RTOL = 1e-2
+
+
+def _relation_keys(reps):
+    """The linear relations among I, the images and their products M_i M_j
+    (i < j) of each representation, as two stacks of projectors ``P_hi`` and
+    ``P_lo`` onto spans of right singular vectors of
+    ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``: those whose singular
+    values exceed the two fractions ``KEY_CUTS`` of the largest.  The
+    representations share one dimension and one generator list.
+
+    The relation space ``{a : W a = 0}`` and its orthogonal complement, the
+    row space of W, are invariant under simultaneous conjugation: each word
+    of ``Q M Q^{-1}`` is ``Q w Q^{-1}``, and ``vec(Q w Q^{-1}) = K vec(w)``
+    with ``K = Q (x) Q^{-T}`` invertible, so the conjugate's matrix ``K W``
+    has the kernel of W.  Rounding and solver noise (Newton endpoints at
+    singular points of the solution set are off by up to about 1e-5) add
+    small singular values, so the exact row space contains the ``P_hi``
+    span and lies in the ``P_lo`` span.  No eigenvector is computed.
+
+    For S(1,1,c) every reducible 2-dimensional solution is ``v (x) N`` with
+    N nilpotent, since the trivial representation is its only
+    1-dimensional one; the row space is spanned by ``e_I`` and
+    ``(0, v, 0)``, the point ``[v]`` of P^2 that is the whole class.  For
+    C_{-1}[x,y] the product word separates reducible solutions whose traces
+    agree, such as ``X = diag(a, -a), Y = E_12`` (``XY = a Y``) and
+    ``X = diag(-a, a), Y = E_12`` (``XY = -a Y``).
+    """
+    mats = np.array([[r.images[g] for g in reps[0].generators] for r in reps])
+    count, k, n, _ = mats.shape
+    left, right = np.triu_indices(k, 1)
+    words = np.concatenate([np.broadcast_to(np.eye(n), (count, 1, n, n)), mats,
+                            mats[:, left] @ mats[:, right]], axis=1)
+    _, sv, vh = np.linalg.svd(words.reshape(count, -1, n * n).transpose(0, 2, 1),
+                              full_matrices=False)
+    return [np.einsum("sri,sr,srj->sij", vh, (sv > cut * sv[:, :1]).astype(float), vh.conj())
+            for cut in KEY_CUTS]
+
 
 def classify(reps, tol: float = DEFAULT_RTOL):
     """Partition representations into equivalence classes.
 
-    Fingerprint proximity is used as a cheap filter; every merge is
-    confirmed by an explicit conjugator.  Deterministic given input order.
+    Each representation joins the first class, in order of creation, whose
+    representative it is conjugate to, and otherwise opens a class.  Two
+    conjugation invariants filter the pairs first, and ``find_conjugator``
+    runs only where both match; it confirms every merge and supplies the
+    class's conjugator.
+
+    - The trace fingerprints must agree: ``max |f_i - f_j| <=
+      FINGERPRINT_RTOL * (1 + max(||f_i||, ||f_j||))``, tested at once
+      against every class representative.
+    - The relation keys (``_relation_keys``) must agree:
+      ``||(I - P_lo,j) P_hi,i||_F <= KEY_RTOL`` and the same with i and j
+      swapped.  Traces do not separate reducible solutions (they only see
+      the semisimplification), and these keys do.  On the solver's output
+      the equivalent pairs stay below 1e-5, three orders under
+      ``KEY_RTOL``.
+
+    Deterministic given input order.  All representations must share one
+    dimension and one generator list.
     """
+    if not reps:
+        return []
+    if any(r.generators != reps[0].generators or r.n != reps[0].n for r in reps):
+        raise ValueError("representations over different generator sets or dimensions")
+    fps = np.array([fingerprint(r) for r in reps])
+    fp_norm = np.array([np.linalg.norm(f) for f in fps])
+    key_hi, key_lo = _relation_keys(reps)
+    key_out = np.eye(key_lo.shape[-1]) - key_lo
+
     classes = []
-    fps = [fingerprint(r) for r in reps]
+    heads = np.zeros(len(reps), dtype=int)  # representative of each class
     for i, r in enumerate(reps):
-        placed = False
-        for cls in classes:
-            j = cls.representative
-            gap = np.max(np.abs(fps[i] - fps[j])) if fps[i].shape == fps[j].shape else np.inf
-            scale = 1.0 + max(np.linalg.norm(fps[i]), np.linalg.norm(fps[j]))
-            if gap > FINGERPRINT_RTOL * scale:
-                continue
-            q = find_conjugator(r, reps[j], tol)
+        js = heads[: len(classes)]
+        gap = np.max(np.abs(fps[js] - fps[i]), axis=1)
+        scale = 1.0 + np.maximum(fp_norm[js], fp_norm[i])
+        hits = np.flatnonzero(~(gap > FINGERPRINT_RTOL * scale))
+        others = js[hits]
+        outside = np.maximum(np.linalg.norm(key_out[others] @ key_hi[i], axis=(1, 2)),
+                             np.linalg.norm(key_out[i] @ key_hi[others], axis=(1, 2)))
+        for c in hits[outside <= KEY_RTOL]:
+            q = find_conjugator(r, reps[js[c]], tol)
             if q is not None:
-                cls.members.append(i)
-                cls.conjugators[i] = q
-                placed = True
+                classes[c].members.append(i)
+                classes[c].conjugators[i] = q
                 break
-        if not placed:
+        else:
+            heads[len(classes)] = i
             classes.append(EquivClass(i, [i], {i: np.eye(r.n, dtype=complex)}))
     return classes
 

@@ -11,16 +11,17 @@ positive-dimensional solution components), then re-polishes every endpoint
 on the unsliced system, keeps the points that satisfy the relations,
 deduplicates them up to simultaneous conjugation, and matches each
 irreducible solution to a representative family through its central
-character.  These 2-dimensional solves run the serial
-``_gauss_newton`` one start at a time.
+character.
 
-The 1-dimensional sweep (``one_dim_solutions``) runs all of its starts
-through ``_gauss_newton_batch``, which takes the same iteration on an
-``(S, n)`` stack of starts: batched residuals and Jacobians, least-squares
-steps by the ``lstsq(rcond=None)`` rule (``_lstsq_steps``), and step halving
-per start.  A square Jacobian that carries a conditioning certificate gets
-its step from one batched LU solve; every other row takes the SVD
-pseudo-inverse.
+Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
+sweep (``one_dim_solutions``), runs all of its starts at once through
+``_gauss_newton_batch``: batched residuals and Jacobians on an ``(S, n)``
+stack of starts, least-squares steps by the ``lstsq(rcond=None)`` rule
+(``_lstsq_steps``), and step halving per start.  A square Jacobian that
+carries a conditioning certificate gets its step from one batched LU
+solve; every other row takes the SVD pseudo-inverse.  The slices are
+per-start linear equations that the kernel appends to the shared quadratic
+system.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ MAX_STEPS = 100
 # rcond=None drops none of its singular values, and its step is the unique
 # solution an LU solve computes
 SOLVE_CERTIFICATE = 1e-8
+
+# the batched Newton kernel forms Jacobians and steps in blocks of rows whose
+# Jacobian stack stays within this many bytes, since the SVD's factors are
+# as large again: one block for all 200 starts of a 2-dimensional solve
+# raised the peak memory of a solve-sweep benchmark round by about 1 MB
+JACOBIAN_BLOCK_BYTES = 2 ** 17
 
 # probability that one slice is a coordinate-vanishing functional e_j . u = 0;
 # those keep the coordinate-degenerate solution components inside the sliced
@@ -148,12 +155,6 @@ class _QuadSystem:
     def n_unknowns(self):
         return self.B.shape[1]
 
-    def residual(self, u):
-        return self.C + self.B @ u + np.einsum("kij,i,j->k", self.T, u, u)
-
-    def jacobian(self, u):
-        return self.B + 2.0 * np.einsum("kij,j->ki", self.T, u)
-
     def _half_jacobians(self, U):
         """T.u for each row u of the (S, n) stack U, shape (S, k, n)."""
         k, n, _ = self.T.shape
@@ -161,20 +162,16 @@ class _QuadSystem:
 
     def residuals(self, U):
         """Residual of every row of the (S, n) stack U, shape (S, k)."""
-        return self.C + U @ self.B.T + np.sum(self._half_jacobians(U) * U[:, None, :], axis=2)
+        quad = self._half_jacobians(U)
+        quad *= U[:, None, :]
+        return self.C + U @ self.B.T + np.sum(quad, axis=2)
 
     def jacobians(self, U):
         """Jacobian at every row of the (S, n) stack U, shape (S, k, n)."""
-        return self.B + 2.0 * self._half_jacobians(U)
-
-    def with_affine(self, rows, targets):
-        k_extra = rows.shape[0]
-        T = np.concatenate(
-            [self.T, np.zeros((k_extra,) + self.T.shape[1:], dtype=complex)]
-        )
-        B = np.concatenate([self.B, rows])
-        C = np.concatenate([self.C, -np.asarray(targets, dtype=complex)])
-        return _QuadSystem(T, B, C)
+        jac = self._half_jacobians(U)
+        jac *= 2.0
+        jac += self.B
+        return jac
 
 
 # the first generator's image in each Jordan shape: its constant entries,
@@ -245,39 +242,15 @@ def _rep_from_unknowns(u, gens, images, env):
     return Rep(images.shape[-1], dict(zip(gens, mats)), dict(env))
 
 
-def _gauss_newton(system, u0):
-    u = np.asarray(u0, dtype=complex).copy()
-    r = system.residual(u)
-    rn = np.linalg.norm(r)
-    for _ in range(MAX_STEPS):
-        if rn <= CONVERGE_RESIDUAL:
-            break
-        jac = system.jacobian(u)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        t = 1.0
-        improved = False
-        for _halving in range(30):
-            u_try = u + t * step
-            r_try = system.residual(u_try)
-            rn_try = np.linalg.norm(r_try)
-            if rn_try < rn:
-                u, r, rn = u_try, r_try, rn_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return u, rn, rn <= CONVERGE_RESIDUAL
-
-
 def _lstsq_steps(jac, rhs):
     """Least-squares solutions of ``jac[s] @ x = rhs[s]`` for each row s of the
     (S, k, n) stack ``jac``, by the ``np.linalg.lstsq(rcond=None)`` rule.
 
     Rows with a square Jacobian that passes the ``SOLVE_CERTIFICATE`` test
     take one batched ``np.linalg.solve``.  Every other row (non-square,
-    singular, ill-conditioned, or not finite) takes the pseudo-inverse whose
-    ``rtol=None`` cut-off is the ``lstsq(rcond=None)`` one.
+    singular, ill-conditioned, or not finite) takes the pseudo-inverse step
+    from its SVD, dropping the singular values at or below
+    ``max(k, n) * eps * sigma_max``: the ``lstsq(rcond=None)`` cut-off.
     """
     S, k, n = jac.shape
     steps = np.empty((S, n), dtype=complex)
@@ -290,33 +263,62 @@ def _lstsq_steps(jac, rhs):
         steps[certified] = np.linalg.solve(jac[certified], rhs[certified, :, None])[..., 0]
     rest = ~certified
     if rest.any():
-        pinv = np.linalg.pinv(jac[rest], rtol=None)
-        steps[rest] = np.einsum("snk,sk->sn", pinv, rhs[rest])
+        u, sv, vh = np.linalg.svd(jac if rest.all() else jac[rest], full_matrices=False)
+        # the step is V diag(1/s) U^H b over the kept singular values; coef
+        # holds its conjugate conj(U^H b) / s and the step is conj(V^T coef):
+        # conjugation is exact, and this spares conjugated copies of U and V
+        coef = np.einsum("skr,sk->sr", u, rhs[rest].conj())
+        kept = sv > max(k, n) * np.finfo(float).eps * sv[:, :1]
+        coef = np.divide(coef, sv, out=np.zeros_like(coef), where=kept)
+        steps[rest] = np.einsum("srn,sr->sn", vh, coef).conj()
     return steps
 
 
-def _gauss_newton_batch(system, U0):
-    """``_gauss_newton`` run on every row of the (S, n) stack U0 at once.
+def _gauss_newton_batch(system, U0, affine=None):
+    """Damped Gauss-Newton on every row of the (S, n) stack U0 at once.
 
-    Each row follows the serial iteration: a least-squares step
-    (``_lstsq_steps``), then up to 30 halvings until the residual norm
-    drops.  A row freezes once it converges or when no halving improves it.
-    Returns the endpoints, their residual norms and the converged flags.
+    Each row takes a least-squares step (``_lstsq_steps``), then up to 30
+    halvings until its residual norm drops.  A row freezes once it converges
+    or when no halving improves it.  With ``affine = (A, b)``, an (S, k, n)
+    and an (S, k) stack, row s also solves the linear equations
+    ``A[s] u = b[s]``: its residual gains ``A[s] u - b[s]`` and its Jacobian
+    the rows ``A[s]``.  Returns the endpoints, their residual norms and the
+    converged flags.
     """
+    if affine is None:
+        def residuals(idx, X):
+            return system.residuals(X)
+
+        def jacobians(idx, X):
+            return system.jacobians(X)
+    else:
+        lin, targets = affine
+
+        def residuals(idx, X):
+            extra = (lin[idx] @ X[:, :, None])[..., 0] - targets[idx]
+            return np.concatenate([system.residuals(X), extra], axis=1)
+
+        def jacobians(idx, X):
+            return np.concatenate([system.jacobians(X), lin[idx]], axis=1)
+
     U = np.array(U0, dtype=complex)
-    R = system.residuals(U)
+    R = residuals(slice(None), U)
     rn = np.linalg.norm(R, axis=1)
+    block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * U.shape[1] * U.itemsize))
     live = np.ones(len(U), dtype=bool)
     for _ in range(MAX_STEPS):
         live &= rn > CONVERGE_RESIDUAL
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        step = _lstsq_steps(system.jacobians(U[rows]), -R[rows])
+        step = np.empty((rows.size, U.shape[1]), dtype=complex)
+        for i in range(0, rows.size, block):
+            part = rows[i:i + block]
+            step[i:i + block] = _lstsq_steps(jacobians(part, U[part]), -R[part])
         t = 1.0
         for _halving in range(30):
             U_try = U[rows] + t * step
-            R_try = system.residuals(U_try)
+            R_try = residuals(rows, U_try)
             rn_try = np.linalg.norm(R_try, axis=1)
             better = rn_try < rn[rows]
             done = rows[better]
@@ -440,6 +442,83 @@ def _rounded_key(values):
     return tuple(v for z in values for v in (round(z.real, 9), round(z.imag, 9)))
 
 
+def _slices_and_starts(rng, task, n_u):
+    """Every start's slice equations ``rows . u = targets`` and its start
+    point, drawn start by start: first the slices, then the start."""
+    k = task.slices()
+    rows = np.zeros((task.num_starts, k, n_u), dtype=complex)
+    targets = np.zeros((task.num_starts, k), dtype=complex)
+    starts = np.empty((task.num_starts, n_u), dtype=complex)
+    for s in range(task.num_starts):
+        for i in range(k):
+            if rng.uniform() < COORD_SLICE_PROB:
+                rows[s, i, int(rng.integers(n_u))] = 1.0
+            else:
+                row = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
+                rows[s, i] = row / np.linalg.norm(row)
+                targets[s, i] = _disk_samples(rng, ())
+        starts[s] = _disk_samples(rng, n_u)
+    return rows, targets, starts
+
+
+def _pinned_polish(system, U):
+    """Each endpoint with its tiny unknowns pinned to zero and re-polished,
+    or None where it has no tiny unknown.
+
+    An unknown is tiny when ``0 < |u_j| <= 1e-4 * max(1, max |u|)``.
+    Endpoints are polished in groups with the same number of pinned
+    unknowns, so each group's stack has the shape of its own system.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(U), axis=1))
+    tiny = (np.abs(U) > 0.0) & (np.abs(U) <= 1e-4 * scale[:, None])
+    counts = np.count_nonzero(tiny, axis=1)
+    pinned = [None] * len(U)
+    for t in sorted(set(counts.tolist()) - {0}):
+        idx = np.flatnonzero(counts == t)
+        cols = np.nonzero(tiny[idx])[1].reshape(len(idx), t)
+        hold = np.zeros((len(idx), t, U.shape[1]), dtype=complex)
+        hold[np.arange(len(idx))[:, None], np.arange(t), cols] = 1.0
+        ends, _, _ = _gauss_newton_batch(system, np.where(tiny[idx], 0.0, U[idx]),
+                                         affine=(hold, np.zeros((len(idx), t), dtype=complex)))
+        for i, u in zip(idx, ends):
+            pinned[i] = u
+    return pinned
+
+
+def _kept_solutions(task, pres):
+    """The certified endpoints of the multistart solve, in start order, as
+    (rep, residual) pairs.
+
+    All starts run through ``_gauss_newton_batch``: first on the base system
+    plus each start's slices, then on the base system alone.  Newton
+    endpoints that cling to a degenerate stratum (some unknowns tiny but not
+    zero) belong to classes at parameter magnitudes far outside numeric
+    reach; their tiny unknowns are pinned to exactly zero and re-polished,
+    and the stratum point replaces the endpoint when it still solves the
+    relations.
+    """
+    gens = pres.generators
+    images, base = _build_system(pres, task.jordan_kind, 2)
+    env = {"c": complex(task.c)} if task.algebra == "sklyanin" else {}
+    rng = np.random.default_rng(task.seed)
+    rows, targets, starts = _slices_and_starts(rng, task, base.n_unknowns)
+    U, _, _ = _gauss_newton_batch(base, starts, affine=(rows, targets))
+    U, _, _ = _gauss_newton_batch(base, U)
+    kept = []
+    for u_fin, u_try in zip(U, _pinned_polish(base, U)):
+        if u_try is not None:
+            rep_try = _rep_from_unknowns(u_try, gens, images, env)
+            if relation_residual(pres, rep_try) <= KEEP_RESIDUAL:
+                u_fin = u_try
+        if np.max(np.abs(u_fin)) <= ZERO_SNAP:
+            u_fin = np.zeros_like(u_fin)
+        rep = _rep_from_unknowns(u_fin, gens, images, env)
+        rr = relation_residual(pres, rep)
+        if rr <= KEEP_RESIDUAL:
+            kept.append((rep, rr))
+    return kept
+
+
 def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     """Run the randomized solve described in the module docstring.
 
@@ -450,52 +529,8 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     when the match is confirmed by an explicit conjugator.
     """
     pres = task.presentation()
-    gens = pres.generators
-    images, base = _build_system(pres, task.jordan_kind, 2)
-    env = {"c": complex(task.c)} if task.algebra == "sklyanin" else {}
-    rng = np.random.default_rng(task.seed)
-    n_u = base.n_unknowns
-    k_slices = task.slices()
-
-    kept = []
+    kept = _kept_solutions(task, pres)
     degenerate = 0
-    for _start in range(task.num_starts):
-        rows = np.zeros((k_slices, n_u), dtype=complex)
-        targets = np.zeros(k_slices, dtype=complex)
-        for i in range(k_slices):
-            if rng.uniform() < COORD_SLICE_PROB:
-                rows[i, int(rng.integers(n_u))] = 1.0
-            else:
-                row = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
-                rows[i] = row / np.linalg.norm(row)
-                targets[i] = _disk_samples(rng, ())
-        u0 = _disk_samples(rng, n_u)
-        u_mid, _, _ = _gauss_newton(base.with_affine(rows, targets), u0)
-        u_fin, _, _ = _gauss_newton(base, u_mid)
-        # Newton endpoints that cling to a degenerate stratum (some unknowns
-        # tiny but not zero) belong to classes at parameter magnitudes far
-        # outside numeric reach; pin the tiny unknowns to exactly zero and
-        # re-polish, keeping the stratum point when it still solves the
-        # relations
-        scale = max(1.0, float(np.max(np.abs(u_fin))))
-        tiny = [j for j in range(n_u) if 0.0 < abs(u_fin[j]) <= 1e-4 * scale]
-        if tiny:
-            hold = np.zeros((len(tiny), n_u), dtype=complex)
-            for i, j in enumerate(tiny):
-                hold[i, j] = 1.0
-            u_try = u_fin.copy()
-            u_try[tiny] = 0.0
-            u_try, _, _ = _gauss_newton(base.with_affine(hold, np.zeros(len(tiny))), u_try)
-            rep_try = _rep_from_unknowns(u_try, gens, images, env)
-            if relation_residual(pres, rep_try) <= KEEP_RESIDUAL:
-                u_fin = u_try
-        if np.max(np.abs(u_fin)) <= ZERO_SNAP:
-            u_fin = np.zeros_like(u_fin)
-        rep = _rep_from_unknowns(u_fin, gens, images, env)
-        rr = relation_residual(pres, rep)
-        if rr <= KEEP_RESIDUAL:
-            kept.append((rep, rr))
-
     classes = classify([rep for rep, _ in kept], tol)
     solutions = []
     for cls in classes:

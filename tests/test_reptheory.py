@@ -1,8 +1,15 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sklyrep.matkit import nullspace
+from sklyrep import reptheory
+from sklyrep.matkit import nullspace, rank
 from sklyrep.reptheory import (
+    FINGERPRINT_RTOL,
+    EquivClass,
     Rep,
     _sylvester_system,
     classify,
@@ -17,6 +24,7 @@ from sklyrep.reptheory import (
 )
 from sklyrep.sklyanin import family, s11c_presentation
 from sklyrep.skewpoly import SkewRepSpec, skew_presentation, skew_rep
+from sklyrep.solver import SolveTask, _kept_solutions
 
 from conftest import random_conjugator, random_valid_c, sample_family
 
@@ -201,6 +209,102 @@ def test_find_conjugator_matches_separate_draws_on_upper_triangular_pairs(rng):
     assert hits == 20
 
 
+def test_find_conjugator_balanced_retry(monkeypatch):
+    # Q = [[1, t], [0, 1]] fixes the Jordan block x of t3f1 and has
+    # |det Q| / ||Q||^2 ~ 1 / t^2 below tol, so the plain search rejects the
+    # only candidate; in balanced coordinates it is well conditioned
+    a = conjugate_rep(family("t3f1", {"c": 5.0, "z2": 0.3, "z3": 1.1}), np.diag([256.0, 1.0]))
+    b = conjugate_rep(a, np.array([[1.0, 1e4], [0.0, 1.0]]))
+    assert 1e6 < max(np.linalg.norm(m) for m in b.images.values()) < 1e7
+    q = find_conjugator(a, b)
+    assert q is not None
+    qi = np.linalg.inv(q)
+    for g, m in a.images.items():
+        target = b.images[g]
+        assert np.linalg.norm(q @ m @ qi - target) <= 1e-7 * (1.0 + np.linalg.norm(target))
+    other = conjugate_rep(conjugate_rep(family("t3f1", {"c": 5.0, "z2": 0.31, "z3": 1.1}),
+                                        np.diag([256.0, 1.0])), np.array([[1.0, 1e4], [0.0, 1.0]]))
+    assert find_conjugator(a, other) is None
+    # without the balanced retry the plain search misses the pair
+    monkeypatch.setattr(reptheory, "_balancing", lambda mats: np.ones(mats.shape[-1]))
+    assert find_conjugator(a, b) is None
+
+
+def _greedy_classify(reps, tol=1e-8):
+    """classify with a conjugator search on every fingerprint hit (reference)."""
+    classes = []
+    fps = [fingerprint(r) for r in reps]
+    for i, r in enumerate(reps):
+        for cls in classes:
+            j = cls.representative
+            gap = np.max(np.abs(fps[i] - fps[j])) if fps[i].shape == fps[j].shape else np.inf
+            scale = 1.0 + max(np.linalg.norm(fps[i]), np.linalg.norm(fps[j]))
+            if gap > FINGERPRINT_RTOL * scale:
+                continue
+            q = find_conjugator(r, reps[j], tol)
+            if q is not None:
+                cls.members.append(i)
+                cls.conjugators[i] = q
+                break
+        else:
+            classes.append(EquivClass(i, [i], {i: np.eye(r.n, dtype=complex)}))
+    return classes
+
+
+def _assert_same_classes(classes, expected):
+    assert [c.representative for c in classes] == [c.representative for c in expected]
+    assert [c.members for c in classes] == [c.members for c in expected]
+    for c, e in zip(classes, expected):
+        assert sorted(c.conjugators) == sorted(e.conjugators)
+        for i, q in c.conjugators.items():
+            assert q.tobytes() == e.conjugators[i].tobytes()
+
+
+@pytest.mark.parametrize("algebra, kind, c", [
+    ("sklyanin", kind, c) for c in (5.0, 0.5 + 1.2j, 40.0, 0.05)
+    for kind in ("one_block", "two_blocks")
+] + [("skew", "one_block", None), ("skew", "two_blocks", None)])
+def test_classify_matches_greedy_reference_on_solver_output(algebra, kind, c):
+    task = SolveTask(algebra, kind, c=c, num_starts=40, seed=11)
+    reps = [rep for rep, _ in _kept_solutions(task, task.presentation())]
+    _assert_same_classes(classify(reps), _greedy_classify(reps))
+    for rep in reps:
+        assert is_irreducible_burnside(rep) == (_bfs_span_rank(list(rep.images.values()), 2) == 4)
+
+
+def test_classify_keys_split_nilpotent_reps_by_their_point(rng, monkeypatch):
+    n_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def v_tensor_n(v):
+        return conjugate_rep(Rep(2, {g: vi * n_mat for g, vi in zip("xyz", v)}, {"c": 5.0}),
+                             random_conjugator(rng))
+
+    points = [np.eye(3)[i] for i in range(3)]  # one non-zero image each
+    points += [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+    labelled = [(p, v_tensor_n(points[p] * complex(*rng.standard_normal(2))))
+                for p in range(len(points)) for _ in range(4)]
+    labelled.append((len(points), trivial_rep(5.0)))
+    order = rng.permutation(len(labelled))
+    labels = [labelled[i][0] for i in order]
+    reps = [labelled[i][1] for i in order]
+
+    calls = []
+    search = reptheory.find_conjugator
+
+    def counting(r1, r2, tol):
+        q = search(r1, r2, tol)
+        calls.append(q is not None)
+        return q
+
+    monkeypatch.setattr(reptheory, "find_conjugator", counting)
+    classes = classify(reps)
+    monkeypatch.undo()
+    _assert_same_classes(classes, _greedy_classify(reps))
+    assert sorted(sorted(labels[i] for i in c.members) for c in classes) == [
+        [p] * 4 for p in range(len(points))] + [[len(points)]]
+    assert all(calls)  # the keys leave only the conjugator calls that merge
+
+
 def test_classify_conjugates_into_one_class(rng):
     rep = sample_family("t4f4", rng)
     reps = [rep] + [conjugate_rep(rep, random_conjugator(rng)) for _ in range(7)]
@@ -223,6 +327,14 @@ def test_classify_empty():
     assert classify([]) == []
 
 
+def test_classify_rejects_mixed_generator_lists():
+    pair = skew_rep(SkewRepSpec("two_dim", 1.0, 1.0))
+    with pytest.raises(ValueError, match="different generator sets or dimensions"):
+        classify([trivial_rep(), pair])
+    with pytest.raises(ValueError, match="different generator sets or dimensions"):
+        classify([trivial_rep(), Rep(1, {g: [[0.0]] for g in "xyz"})])
+
+
 def test_rep_json_round_trip(rng):
     rep = sample_family("t4f4", rng)
     back = rep_from_json(rep_to_json(rep))
@@ -237,6 +349,50 @@ def test_rep_json_missing_matrix_rejected():
     data = {"n": 1, "generators": ["x", "y"], "params": {}, "matrices": {"x": [[[0.0, 0.0]]]}}
     with pytest.raises(ValueError):
         rep_from_json(data)
+
+
+def _bfs_span_rank(mats, n, tol=1e-8):
+    """Rank of the span of all words of length <= n^2 - 1, built length by
+    length with an early exit at full rank (reference)."""
+    eye = np.eye(n, dtype=complex)
+    vecs, frontier = [eye.ravel()], [eye]
+    for _ in range(n * n - 1):
+        frontier = [m @ g for m in frontier for g in mats]
+        vecs.extend(w.ravel() for w in frontier)
+        if rank(np.array(vecs), tol) == n * n:
+            return n * n
+    return rank(np.array(vecs), tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 3), split=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_burnside_span_closure_matches_word_bfs(n, k, split, seed):
+    # split 0 leaves the images generic; otherwise they are block upper
+    # triangular with an invariant subspace of dimension min(split, n - 1),
+    # then conjugated
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    if split:
+        p = min(split, n - 1)
+        mats[:, p:, :p] = 0.0
+        q = random_conjugator(rng, n)
+        mats = q @ mats @ np.linalg.inv(q)
+    rep = Rep(n, dict(zip("xyz", mats)))
+    expected = n == 1 or _bfs_span_rank(list(mats), n) == n * n
+    assert is_irreducible_burnside(rep) == expected
+
+
+def test_burnside_on_a_reducible_4x4_rep_is_fast(rng):
+    mats = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    mats[:, 2:, :2] = 0.0  # an invariant plane
+    q = random_conjugator(rng, 4)
+    rep = Rep(4, dict(zip("xyz", q @ mats @ np.linalg.inv(q))))
+    start = time.perf_counter()
+    assert not is_irreducible_burnside(rep)
+    assert time.perf_counter() - start < 1.0
+    mats[:, 2:, :2] = rng.standard_normal((3, 2, 2))
+    assert is_irreducible_burnside(Rep(4, dict(zip("xyz", mats))))
 
 
 def test_burnside_and_invariant_line_agree_on_mixed_samples(rng):

@@ -8,12 +8,13 @@ from sklyrep.reptheory import Presentation, relation_residual
 from sklyrep.sklyanin import s11c_presentation
 from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
+    CONVERGE_RESIDUAL,
     DEFAULT_SLICES,
+    MAX_STEPS,
     SolveTask,
     _QuadSystem,
     _build_system,
     _disk_samples,
-    _gauss_newton,
     _gauss_newton_batch,
     _lstsq_steps,
     _rep_from_unknowns,
@@ -94,12 +95,44 @@ def test_quadratic_system_matches_relations():
             u = _disk_samples(rng, system.n_unknowns)
             mats = _rep_from_unknowns(u, pres.generators, images, {}).matrices(pres.generators)
             expected = np.concatenate([eval_ncpoly(r, mats).ravel() for r in pres.relations])
-            gap = np.max(np.abs(system.residual(u) - expected))
+            gap = np.max(np.abs(system.residuals(u[None])[0] - expected))
             assert gap <= 1e-12 * (1.0 + np.max(np.abs(expected))), (kind, n)
     gens = ("x", "y")
     cubic = Presentation(gens, (parse_ncpoly("x*y*x + y^2", gens),))
     with pytest.raises(ValueError, match="degree > 2"):
         _build_system(cubic, "two_blocks", 2)
+
+
+def _serial_gauss_newton(system, u0, rows=None, targets=None):
+    """Damped Gauss-Newton from one start on the system plus the linear
+    equations ``rows . u = targets``, one ``lstsq`` step at a time (reference)."""
+    T, B, C = system.T, system.B, system.C
+    if rows is not None:
+        T = np.concatenate([T, np.zeros((len(rows),) + T.shape[1:], dtype=complex)])
+        B = np.concatenate([B, rows])
+        C = np.concatenate([C, -targets])
+
+    def residual(u):
+        return C + B @ u + np.einsum("kij,i,j->k", T, u, u)
+
+    u = np.asarray(u0, dtype=complex).copy()
+    r = residual(u)
+    rn = np.linalg.norm(r)
+    for _ in range(MAX_STEPS):
+        if rn <= CONVERGE_RESIDUAL:
+            break
+        jac = B + 2.0 * np.einsum("kij,j->ki", T, u)
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        t = 1.0
+        for _halving in range(30):
+            r_try = residual(u + t * step)
+            if np.linalg.norm(r_try) < rn:
+                u, r, rn = u + t * step, r_try, np.linalg.norm(r_try)
+                break
+            t *= 0.5
+        else:
+            break
+    return u, rn, rn <= CONVERGE_RESIDUAL
 
 
 def test_batched_kernel_matches_serial_reference():
@@ -113,13 +146,26 @@ def test_batched_kernel_matches_serial_reference():
     systems.append(_QuadSystem(np.ones((1, 1, 1), complex), np.zeros((1, 1), complex),
                                -np.ones(1, complex)))
     # two copies of u0^2 + u1^2 = 1: a square Jacobian that is singular everywhere
-    systems.append(_QuadSystem(np.stack([np.eye(2, dtype=complex)] * 2),
-                               np.zeros((2, 2), complex), -np.ones(2, complex)))
+    circle = _QuadSystem(np.stack([np.eye(2, dtype=complex)] * 2),
+                         np.zeros((2, 2), complex), -np.ones(2, complex))
+    systems.append(circle)
     for system in systems:
         starts = _disk_samples(rng, (50, system.n_unknowns))
         ends, _, converged = _gauss_newton_batch(system, starts)
         for u0, u, ok in zip(starts, ends, converged):
-            ref, _, ref_ok = _gauss_newton(system, u0)
+            ref, _, ref_ok = _serial_gauss_newton(system, u0)
+            assert ok == ref_ok
+            assert np.max(np.abs(u - ref)) <= 1e-12
+    # one random line per start through the skew ring's coordinate axes and
+    # through the circle: isolated roots, as in the sliced 2-dimensional solve
+    for system in (_build_system(skew_presentation(), "one_block", 1)[1], circle):
+        starts = _disk_samples(rng, (50, 2))
+        rows = _disk_samples(rng, (50, 1, 2))
+        targets = _disk_samples(rng, (50, 1))
+        ends, _, converged = _gauss_newton_batch(system, starts, affine=(rows, targets))
+        assert converged.any()
+        for u0, a, b, u, ok in zip(starts, rows, targets, ends, converged):
+            ref, _, ref_ok = _serial_gauss_newton(system, u0, a, b)
             assert ok == ref_ok
             assert np.max(np.abs(u - ref)) <= 1e-12
 
@@ -152,13 +198,13 @@ def test_lstsq_steps_follow_the_lstsq_rule(monkeypatch):
     stacks[2][0, :, 1] = 2.0 * stacks[2][0, :, 0]  # a rank-deficient non-square row
 
     routed = []
-    pinv = np.linalg.pinv
+    svd = np.linalg.svd
 
-    def recording_pinv(a, **kwargs):
+    def recording_svd(a, *args, **kwargs):
         routed.append(a.copy())
-        return pinv(a, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     for jac in stacks:
         rhs = cplx(*jac.shape[:2])
         steps = _lstsq_steps(jac, rhs)
