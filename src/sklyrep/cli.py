@@ -222,12 +222,9 @@ def cmd_classify(args) -> int:
     if not isinstance(data, list):
         raise UsageError("--input: expected a JSON list of representations")
     reps = [rep_from_json(item) for item in data]
-    if reps:
-        gens, n = reps[0].generators, reps[0].n
-        c0 = reps[0].env.get("c")
-        for r in reps[1:]:
-            if r.generators != gens or r.n != n or r.env.get("c") != c0:
-                raise UsageError("representations come from mixed presentations")
+    # classify itself rejects mixed generator lists and dimensions
+    if len({r.env.get("c") for r in reps}) > 1:
+        raise UsageError("representations come from mixed presentations")
     try:
         # entries are finite, so an inf or NaN can only come from an overflow
         with np.errstate(over="raise"):

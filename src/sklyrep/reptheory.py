@@ -327,10 +327,13 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     first.  The returned Q is verified against all generators before being
     accepted.
 
-    When that search finds nothing, the same search runs once more on the
-    pair balanced by diagonal similarities ``D1 M1 D1^{-1}`` and
-    ``D2 M2 D2^{-1}`` (``_balancing``), which recovers conjugators of badly
-    scaled pairs.  Its conjugator ``Q'`` is mapped back by
+    When that search has candidates but none passes, the same search runs
+    once more on the pair balanced by diagonal similarities
+    ``D1 M1 D1^{-1}`` and ``D2 M2 D2^{-1}`` (``_balancing``), which
+    recovers conjugators of badly scaled pairs.  An empty nullspace is not
+    searched again: ``Q -> D2 Q D1^{-1}`` maps the Sylvester nullspace of
+    the pair onto that of the balanced pair, so the balanced one is empty
+    too up to rounding.  Its conjugator ``Q'`` is mapped back by
     ``Q = D2^{-1} Q' D1`` and returned only if it passes the acceptance test
     in the original coordinates too.  Balancing runs only on this retry, so
     every pair the plain search accepts gets the same conjugator as before.
@@ -342,8 +345,9 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
         raise ValueError("representations over different generator sets")
     m1 = np.array([r1.images[g] for g in gens])
     m2 = np.array([r2.images[g] for g in gens])
-    q = _accepted_conjugator(_conjugator_candidates(m1, m2, tol), m1, m2, tol)
-    if q is not None:
+    qs = _conjugator_candidates(m1, m2, tol)
+    q = _accepted_conjugator(qs, m1, m2, tol)
+    if q is not None or not len(qs):
         return q
     d1, d2 = _balancing(m1), _balancing(m2)
     if np.all(d1 == 1.0) and np.all(d2 == 1.0):
@@ -368,21 +372,27 @@ class EquivClass:
 # relative fingerprint gap above which classify skips the conjugator search
 FINGERPRINT_RTOL = 1e-6
 
-# relation keys (``_relation_keys``): the row-space directions of one
-# representation's word matrix with singular values above KEY_CUTS[0] of its
-# largest must lie, to within KEY_RTOL, in the span of the other's directions
-# above KEY_CUTS[1], and the other way round
+# relation keys (``_relation_keys``): spans of the right singular vectors of
+# a representation's word matrix with singular values above KEY_CUTS[0] and
+# KEY_CUTS[1] of its largest; singular values at or below KEY_EXACT of the
+# largest are rounding
 KEY_CUTS = (1e-3, 1e-6)
+KEY_EXACT = 1e-13
+# a direction of one key that leaves the other's span by more than KEY_RTOL
 KEY_RTOL = 1e-2
 
 
 def _relation_keys(reps):
     """The linear relations among I, the images and their products M_i M_j
-    (i < j) of each representation, as two stacks of projectors ``P_hi`` and
-    ``P_lo`` onto spans of right singular vectors of
-    ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``: those whose singular
-    values exceed the two fractions ``KEY_CUTS`` of the largest.  The
+    (i < j) of each representation, seen through the singular value
+    decomposition of ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``.  The
     representations share one dimension and one generator list.
+
+    Returns two stacks of projectors ``P_hi`` and ``P_lo`` onto the spans of
+    the right singular vectors whose singular values exceed the fractions
+    ``KEY_CUTS`` of the largest, the rank of each ``P_hi`` and ``P_lo``,
+    and a flag ``exact``: every singular value that ``P_lo`` drops is at
+    most ``KEY_EXACT`` of the largest.
 
     The relation space ``{a : W a = 0}`` and its orthogonal complement, the
     row space of W, are invariant under simultaneous conjugation: each word
@@ -391,7 +401,11 @@ def _relation_keys(reps):
     has the kernel of W.  Rounding and solver noise (Newton endpoints at
     singular points of the solution set are off by up to about 1e-5) add
     small singular values, so the exact row space contains the ``P_hi``
-    span and lies in the ``P_lo`` span.  No eigenvector is computed.
+    span.  It lies in the ``P_lo`` span only while no row-space direction
+    has a singular value under the lower cut, and that is not invariant:
+    ``K`` has condition number ``cond(Q)^2`` and can rescale the singular
+    values of ``K W`` relative to each other by as much.  No eigenvector is
+    computed.
 
     For S(1,1,c) every reducible 2-dimensional solution is ``v (x) N`` with
     N nilpotent, since the trivial representation is its only
@@ -408,8 +422,42 @@ def _relation_keys(reps):
                             mats[:, left] @ mats[:, right]], axis=1)
     _, sv, vh = np.linalg.svd(words.reshape(count, -1, n * n).transpose(0, 2, 1),
                               full_matrices=False)
-    return [np.einsum("sri,sr,srj->sij", vh, (sv > cut * sv[:, :1]).astype(float), vh.conj())
-            for cut in KEY_CUTS]
+    rel = sv / sv[:, :1]
+    kept = [rel > cut for cut in KEY_CUTS]
+    projectors = [np.einsum("sri,sr,srj->sij", vh, m.astype(float), vh.conj()) for m in kept]
+    exact = np.all(kept[1] | (rel <= KEY_EXACT), axis=1)
+    return (*projectors, *(np.count_nonzero(m, axis=1) for m in kept), exact)
+
+
+def _keys_split(i, js, keys):
+    """Whether the relation keys prove representation i inequivalent to each
+    representation of the index array ``js``.
+
+    A key splits the pair when a direction of one ``P_hi`` leaves the other's
+    ``P_lo`` span, ``||(I - P_lo,j) P_hi,i||_F > KEY_RTOL`` (or with i and j
+    swapped), and that ``P_lo`` span is complete: either every singular
+    value it drops is rounding (``exact``), or it has at least as many
+    directions as the ``P_hi`` span it is tested against.  A conjugation
+    that rescales a representation pushes directions of its row space
+    under the lower cut and leaves its ``P_lo`` with fewer directions than
+    the other's ``P_hi`` (``v (x) N`` against ``v (x) 1e7 N``); such pairs
+    go to ``find_conjugator``.
+
+    So an equivalent pair is never split when one of the two has its whole
+    row space above the upper cut and their conjugator has
+    ``cond(Q)^2 < KEY_CUTS[0] / KEY_EXACT``.  With ``P_hi,i`` the whole row
+    space R, a complete ``P_lo,j`` of at least ``dim R`` directions is R up
+    to noise; an exact one keeps every direction of R, whose relative
+    singular values in ``K W`` are at least ``KEY_CUTS[0] / cond(Q)^2``; and
+    ``P_hi,j`` always lies in R.  Only two representations badly scaled in
+    different directions can be split wrongly.
+    """
+    hi, lo, rank_hi, rank_lo, exact = keys
+    out = np.eye(lo.shape[-1]) - lo
+    i_out = np.linalg.norm(out[js] @ hi[i], axis=(1, 2)) > KEY_RTOL
+    j_out = np.linalg.norm(out[i] @ hi[js], axis=(1, 2)) > KEY_RTOL
+    return ((i_out & (exact[js] | (rank_lo[js] >= rank_hi[i])))
+            | (j_out & (exact[i] | (rank_lo[i] >= rank_hi[js]))))
 
 
 def classify(reps, tol: float = DEFAULT_RTOL):
@@ -418,21 +466,20 @@ def classify(reps, tol: float = DEFAULT_RTOL):
     Each representation joins the first class, in order of creation, whose
     representative it is conjugate to, and otherwise opens a class.  Two
     conjugation invariants filter the pairs first, and ``find_conjugator``
-    runs only where both match; it confirms every merge and supplies the
-    class's conjugator.
+    runs only where neither tells them apart; it confirms every merge and
+    supplies the class's conjugator.
 
     - The trace fingerprints must agree: ``max |f_i - f_j| <=
       FINGERPRINT_RTOL * (1 + max(||f_i||, ||f_j||))``, tested at once
       against every class representative.
-    - The relation keys (``_relation_keys``) must agree:
-      ``||(I - P_lo,j) P_hi,i||_F <= KEY_RTOL`` and the same with i and j
-      swapped.  Traces do not separate reducible solutions (they only see
-      the semisimplification), and these keys do.  On the solver's output
-      the equivalent pairs stay below 1e-5, three orders under
-      ``KEY_RTOL``.
+    - The relation keys (``_relation_keys``) must not split the pair
+      (``_keys_split``).  Traces do not separate reducible solutions (they
+      only see the semisimplification), and these keys do.  On the
+      solver's output the equivalent pairs stay below 1e-5, three orders
+      under ``KEY_RTOL``.
 
     Deterministic given input order.  All representations must share one
-    dimension and one generator list.
+    dimension and one generator list; otherwise a ``ValueError`` is raised.
     """
     if not reps:
         return []
@@ -440,8 +487,7 @@ def classify(reps, tol: float = DEFAULT_RTOL):
         raise ValueError("representations over different generator sets or dimensions")
     fps = np.array([fingerprint(r) for r in reps])
     fp_norm = np.array([np.linalg.norm(f) for f in fps])
-    key_hi, key_lo = _relation_keys(reps)
-    key_out = np.eye(key_lo.shape[-1]) - key_lo
+    keys = _relation_keys(reps)
 
     classes = []
     heads = np.zeros(len(reps), dtype=int)  # representative of each class
@@ -450,10 +496,7 @@ def classify(reps, tol: float = DEFAULT_RTOL):
         gap = np.max(np.abs(fps[js] - fps[i]), axis=1)
         scale = 1.0 + np.maximum(fp_norm[js], fp_norm[i])
         hits = np.flatnonzero(~(gap > FINGERPRINT_RTOL * scale))
-        others = js[hits]
-        outside = np.maximum(np.linalg.norm(key_out[others] @ key_hi[i], axis=(1, 2)),
-                             np.linalg.norm(key_out[i] @ key_hi[others], axis=(1, 2)))
-        for c in hits[outside <= KEY_RTOL]:
+        for c in hits[~_keys_split(i, js[hits], keys)]:
             q = find_conjugator(r, reps[js[c]], tol)
             if q is not None:
                 classes[c].members.append(i)

@@ -285,21 +285,17 @@ def _gauss_newton_batch(system, U0, affine=None):
     the rows ``A[s]``.  Returns the endpoints, their residual norms and the
     converged flags.
     """
-    if affine is None:
-        def residuals(idx, X):
-            return system.residuals(X)
 
-        def jacobians(idx, X):
-            return system.jacobians(X)
-    else:
+    def residuals(idx, X):
+        R = system.residuals(X)
+        if affine is None:
+            return R
         lin, targets = affine
+        return np.concatenate([R, (lin[idx] @ X[:, :, None])[..., 0] - targets[idx]], axis=1)
 
-        def residuals(idx, X):
-            extra = (lin[idx] @ X[:, :, None])[..., 0] - targets[idx]
-            return np.concatenate([system.residuals(X), extra], axis=1)
-
-        def jacobians(idx, X):
-            return np.concatenate([system.jacobians(X), lin[idx]], axis=1)
+    def jacobians(idx, X):
+        J = system.jacobians(X)
+        return J if affine is None else np.concatenate([J, affine[0][idx]], axis=1)
 
     U = np.array(U0, dtype=complex)
     R = residuals(slice(None), U)

@@ -198,6 +198,13 @@ def test_classify_empty_and_mixed(tmp_path):
     assert code == 2
     assert "mixed" in err
 
+    point = {"n": 1, "generators": ["x", "y", "z"], "params": {"c": [2.0, 0.0]},
+             "matrices": {g: [[[0.0, 0.0]]] for g in "xyz"}}
+    mixed.write_text(json.dumps([a, point]))
+    code, _, err = run_cli(["classify", "--input", str(mixed)])
+    assert code == 2
+    assert "different generator sets or dimensions" in err
+
 
 def test_sigma_orders():
     code, out, _ = run_cli(["sigma", "--a", "1", "--b", "1", "--c", "2"])

@@ -2,8 +2,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sklyrep import reptheory
 from sklyrep.matkit import nullspace, rank
@@ -305,6 +303,25 @@ def test_classify_keys_split_nilpotent_reps_by_their_point(rng, monkeypatch):
     assert all(calls)  # the keys leave only the conjugator calls that merge
 
 
+def test_classify_keys_leave_rescaled_pairs_to_the_conjugator(rng):
+    # rescaling pushes one direction of the word matrix's row space under
+    # the lower cut: e_I in v (x) 1e7 N, the smallest singular directions of
+    # an irreducible rep conjugated by diag(d, 1), whose K has condition d^2
+    n_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    v = np.array([0.6, -0.3 + 0.5j, 0.4])
+    pair = [Rep(2, {g: s * vi * n_mat for g, vi in zip("xyz", v)}, {"c": 5.0})
+            for s in (1.0, 1e7)]
+    classes = classify(pair)
+    _assert_same_classes(classes, _greedy_classify(pair))
+    assert [c.members for c in classes] == [[0, 1]]
+    for fid in ("t4f1", "t4f2", "t4f3", "t4f4"):
+        rep = sample_family(fid, rng)
+        reps = [rep] + [conjugate_rep(rep, np.diag(d)) for d in ([1e3, 1.0], [1.0, 1e4])]
+        classes = classify(reps)
+        _assert_same_classes(classes, _greedy_classify(reps))
+        assert [c.members for c in classes] == [[0, 1, 2]]
+
+
 def test_classify_conjugates_into_one_class(rng):
     rep = sample_family("t4f4", rng)
     reps = [rep] + [conjugate_rep(rep, random_conjugator(rng)) for _ in range(7)]
@@ -364,14 +381,13 @@ def _bfs_span_rank(mats, n, tol=1e-8):
     return rank(np.array(vecs), tol)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), k=st.integers(1, 3), split=st.integers(0, 2),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_burnside_span_closure_matches_word_bfs(n, k, split, seed):
-    # split 0 leaves the images generic; otherwise they are block upper
-    # triangular with an invariant subspace of dimension min(split, n - 1),
-    # then conjugated
+@pytest.mark.parametrize("seed", range(60))
+def test_burnside_span_closure_matches_word_bfs(seed):
+    # n, k and split are drawn per seed; split 0 leaves the images generic,
+    # otherwise they are block upper triangular with an invariant subspace
+    # of dimension min(split, n - 1), then conjugated
     rng = np.random.default_rng(seed)
+    n, k, split = (int(v) for v in rng.integers((1, 1, 0), (4, 4, 3)))
     mats = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
     if split:
         p = min(split, n - 1)
