@@ -330,13 +330,14 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     When that search has candidates but none passes, the same search runs
     once more on the pair balanced by diagonal similarities
     ``D1 M1 D1^{-1}`` and ``D2 M2 D2^{-1}`` (``_balancing``), which
-    recovers conjugators of badly scaled pairs.  An empty nullspace is not
-    searched again: ``Q -> D2 Q D1^{-1}`` maps the Sylvester nullspace of
-    the pair onto that of the balanced pair, so the balanced one is empty
-    too up to rounding.  Its conjugator ``Q'`` is mapped back by
-    ``Q = D2^{-1} Q' D1`` and returned only if it passes the acceptance test
-    in the original coordinates too.  Balancing runs only on this retry, so
-    every pair the plain search accepts gets the same conjugator as before.
+    recovers conjugators of badly scaled pairs.  Its conjugator ``Q'`` is
+    mapped back by ``Q = D2^{-1} Q' D1`` and returned only if it passes the
+    acceptance test in the original coordinates too.  Balancing runs only
+    on this retry, so every pair the plain search accepts gets the same
+    conjugator as before.  An empty nullspace is not searched again:
+    ``Q -> D2 Q D1^{-1}`` maps the exact Sylvester nullspace of the pair
+    onto that of the balanced pair, and only a singular value at the edge
+    of the relative ``tol`` cut can cross it.
     """
     if r1.n != r2.n:
         return None
@@ -388,11 +389,13 @@ def _relation_keys(reps):
     decomposition of ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``.  The
     representations share one dimension and one generator list.
 
-    Returns two stacks of projectors ``P_hi`` and ``P_lo`` onto the spans of
-    the right singular vectors whose singular values exceed the fractions
-    ``KEY_CUTS`` of the largest, the rank of each ``P_hi`` and ``P_lo``,
-    and a flag ``exact``: every singular value that ``P_lo`` drops is at
-    most ``KEY_EXACT`` of the largest.
+    Let ``P_hi`` and ``P_lo`` be the projectors onto the spans of the right
+    singular vectors whose singular values exceed the fractions
+    ``KEY_CUTS`` of the largest.  Returns the stacks of ``P_hi`` and of
+    ``I - P_lo``, and the boolean matrix ``complete``: ``complete[j, i]``
+    holds when every singular value that ``P_lo,j`` drops is at most
+    ``KEY_EXACT`` of the largest, or when ``P_lo,j`` has at least as many
+    directions as ``P_hi,i`` (see ``_keys_split``).
 
     The relation space ``{a : W a = 0}`` and its orthogonal complement, the
     row space of W, are invariant under simultaneous conjugation: each word
@@ -424,9 +427,11 @@ def _relation_keys(reps):
                               full_matrices=False)
     rel = sv / sv[:, :1]
     kept = [rel > cut for cut in KEY_CUTS]
-    projectors = [np.einsum("sri,sr,srj->sij", vh, m.astype(float), vh.conj()) for m in kept]
+    hi, lo = (np.einsum("sri,sr,srj->sij", vh, m.astype(float), vh.conj()) for m in kept)
     exact = np.all(kept[1] | (rel <= KEY_EXACT), axis=1)
-    return (*projectors, *(np.count_nonzero(m, axis=1) for m in kept), exact)
+    rank_hi, rank_lo = (np.count_nonzero(m, axis=1) for m in kept)
+    complete = exact[:, None] | (rank_lo[:, None] >= rank_hi[None, :])
+    return hi, np.eye(lo.shape[-1]) - lo, complete
 
 
 def _keys_split(i, js, keys):
@@ -436,8 +441,8 @@ def _keys_split(i, js, keys):
     A key splits the pair when a direction of one ``P_hi`` leaves the other's
     ``P_lo`` span, ``||(I - P_lo,j) P_hi,i||_F > KEY_RTOL`` (or with i and j
     swapped), and that ``P_lo`` span is complete: either every singular
-    value it drops is rounding (``exact``), or it has at least as many
-    directions as the ``P_hi`` span it is tested against.  A conjugation
+    value it drops is rounding, or it has at least as many directions as
+    the ``P_hi`` span it is tested against.  A conjugation
     that rescales a representation pushes directions of its row space
     under the lower cut and leaves its ``P_lo`` with fewer directions than
     the other's ``P_hi`` (``v (x) N`` against ``v (x) 1e7 N``); such pairs
@@ -452,12 +457,10 @@ def _keys_split(i, js, keys):
     ``P_hi,j`` always lies in R.  Only two representations badly scaled in
     different directions can be split wrongly.
     """
-    hi, lo, rank_hi, rank_lo, exact = keys
-    out = np.eye(lo.shape[-1]) - lo
+    hi, out, complete = keys
     i_out = np.linalg.norm(out[js] @ hi[i], axis=(1, 2)) > KEY_RTOL
     j_out = np.linalg.norm(out[i] @ hi[js], axis=(1, 2)) > KEY_RTOL
-    return ((i_out & (exact[js] | (rank_lo[js] >= rank_hi[i])))
-            | (j_out & (exact[i] | (rank_lo[i] >= rank_hi[js]))))
+    return (i_out & complete[js, i]) | (j_out & complete[i, js])
 
 
 def classify(reps, tol: float = DEFAULT_RTOL):
