@@ -108,7 +108,8 @@ def eval_ncpoly(p: NcPoly, matrices):
     """Evaluate ``p`` at one square matrix per generator.
 
     ``matrices`` follows the order of ``p.gens``; all matrices must share
-    one dimension.  Evaluation is an algebra homomorphism.
+    one shape, ``(n, n)`` or a stack ``(..., n, n)`` evaluated matrix by
+    matrix.  Evaluation is an algebra homomorphism.
     """
     if len(matrices) != len(p.gens):
         raise EvalError(
@@ -117,15 +118,17 @@ def eval_ncpoly(p: NcPoly, matrices):
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise EvalError("polynomial has no generators")
-    n = mats[0].shape[0]
+    shape = mats[0].shape
     for m in mats:
-        if m.shape != (n, n):
-            raise EvalError(f"dimension mismatch: {m.shape} vs ({n}, {n})")
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
+        if m.ndim < 2 or m.shape != shape or shape[-1] != shape[-2]:
+            raise EvalError(f"dimension mismatch: {m.shape} vs {shape}")
+    out = np.zeros(shape, dtype=complex)
     for word, coef in p.terms.items():
-        prod = eye
-        for g in word:
+        if not word:
+            out += coef * np.eye(shape[-1])
+            continue
+        prod = mats[word[0]]
+        for g in word[1:]:
             prod = prod @ mats[g]
         out += coef * prod
     return out

@@ -77,14 +77,28 @@ class Rep:
         return tuple(self.images)
 
 
-def relation_residual(pres: Presentation, rep: Rep) -> float:
-    """Normalized residual: max over relations of ||eval|| / (1 + max ||image||^2)."""
-    mats = rep.matrices(pres.generators)
-    scale = 1.0 + max(np.linalg.norm(m) for m in mats) ** 2
+def _image_stack(rep, generators=None):
+    """The images of a Rep, shape (k, n, n), in the order ``generators``
+    (default: its own), or an array of images (..., k, n, n) as it is."""
+    if isinstance(rep, Rep):
+        return np.array(rep.matrices(generators or rep.generators))
+    return np.asarray(rep, dtype=complex)
+
+
+def relation_residual(pres: Presentation, rep):
+    """Normalized residual: max over relations of ||eval|| / (1 + max ||image||^2).
+
+    ``rep`` is a Rep, or a stack of images of shape (..., k, n, n) in the
+    order of ``pres.generators``; a stack gives one residual per
+    representation, an array of shape (...).
+    """
+    mats = _image_stack(rep, pres.generators)
+    per_gen = [mats[..., g, :, :] for g in range(mats.shape[-3])]
     worst = 0.0
     for relation in pres.relations:
-        worst = max(worst, np.linalg.norm(eval_ncpoly(relation, mats)))
-    return worst / scale
+        worst = np.maximum(worst, np.linalg.norm(eval_ncpoly(relation, per_gen), axis=(-2, -1)))
+    worst = worst / (1.0 + np.max(np.linalg.norm(mats, axis=(-2, -1)), axis=-1) ** 2)
+    return float(worst) if isinstance(rep, Rep) else worst
 
 
 def _word_span_rank(mats, n, tol):
@@ -200,24 +214,27 @@ def find_invariant_line(rep: Rep, tol: float = DEFAULT_RTOL):
     return None
 
 
-def fingerprint(rep: Rep) -> np.ndarray:
+def fingerprint(rep) -> np.ndarray:
     """Ordered conjugation-invariant traces of short words.
 
     For generators (X, Y, Z): tr X, tr Y, tr Z, tr X^2, tr Y^2, tr Z^2,
     tr XY, tr XZ, tr YZ, tr XYZ.  For two generators the analogous
-    5-element list (tr X, tr Y, tr X^2, tr Y^2, tr XY).
+    5-element list (tr X, tr Y, tr X^2, tr Y^2, tr XY).  ``rep`` is a Rep,
+    or a stack of images of shape (..., k, n, n) whose fingerprints come
+    back as an array of shape (..., 10) or (..., 5).
     """
-    mats = list(rep.images.values())
-    k = len(mats)
-    if k == 3:
-        x, y, z = mats
-        words = [x, y, z, x @ x, y @ y, z @ z, x @ y, x @ z, y @ z, x @ y @ z]
-    elif k == 2:
-        x, y = mats
+    mats = _image_stack(rep)
+    gens = [mats[..., g, :, :] for g in range(mats.shape[-3])]
+    if len(gens) == 3:
+        x, y, z = gens
+        xy = x @ y
+        words = [x, y, z, x @ x, y @ y, z @ z, xy, x @ z, y @ z, xy @ z]
+    elif len(gens) == 2:
+        x, y = gens
         words = [x, y, x @ x, y @ y, x @ y]
     else:
         raise ValueError("fingerprint supports 2 or 3 generators")
-    return np.array([np.trace(w) for w in words])
+    return np.trace(np.stack(words, axis=-3), axis1=-2, axis2=-1)
 
 
 def conjugate_rep(rep: Rep, q) -> Rep:
@@ -383,11 +400,11 @@ KEY_EXACT = 1e-13
 KEY_RTOL = 1e-2
 
 
-def _relation_keys(reps):
+def _relation_keys(mats):
     """The linear relations among I, the images and their products M_i M_j
-    (i < j) of each representation, seen through the singular value
-    decomposition of ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``.  The
-    representations share one dimension and one generator list.
+    (i < j) of each representation of the (count, k, n, n) image stack
+    ``mats``, seen through the singular value decomposition of
+    ``W = [vec I, vec M_1, ..., vec M_i M_j, ...]``.
 
     Let ``P_hi`` and ``P_lo`` be the projectors onto the spans of the right
     singular vectors whose singular values exceed the fractions
@@ -418,7 +435,6 @@ def _relation_keys(reps):
     agree, such as ``X = diag(a, -a), Y = E_12`` (``XY = a Y``) and
     ``X = diag(-a, a), Y = E_12`` (``XY = -a Y``).
     """
-    mats = np.array([[r.images[g] for g in reps[0].generators] for r in reps])
     count, k, n, _ = mats.shape
     left, right = np.triu_indices(k, 1)
     words = np.concatenate([np.broadcast_to(np.eye(n), (count, 1, n, n)), mats,
@@ -488,9 +504,10 @@ def classify(reps, tol: float = DEFAULT_RTOL):
         return []
     if any(r.generators != reps[0].generators or r.n != reps[0].n for r in reps):
         raise ValueError("representations over different generator sets or dimensions")
-    fps = np.array([fingerprint(r) for r in reps])
-    fp_norm = np.array([np.linalg.norm(f) for f in fps])
-    keys = _relation_keys(reps)
+    mats = np.array([r.matrices(reps[0].generators) for r in reps])
+    fps = fingerprint(mats)
+    fp_norm = np.linalg.norm(fps, axis=1)
+    keys = _relation_keys(mats)
 
     classes = []
     heads = np.zeros(len(reps), dtype=int)  # representative of each class

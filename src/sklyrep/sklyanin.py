@@ -42,6 +42,7 @@ __all__ = [
     "RepFamily",
     "FAMILIES",
     "REPRESENTATIVE_IDS",
+    "t3f1_shear",
     "family_ids",
     "family",
     "CenterChar",
@@ -329,8 +330,16 @@ def _t1f12(c, y4, z4, sign):
 def _t1f34(c, z2, z3, z4, sign):
     dd = z2 * z3 + z4 ** 2
     r = _sqrt(c ** 4 * dd ** 3 - c * z3 ** 3, sign)
-    a = _div(c ** 2 * z4 * dd + r, c * z3, "c*z3")
+    p = c ** 2 * z4 * dd
+    a = _div(p + r, c * z3, "c*z3")
     b = _div(2.0 * a * z4 + c * z2 * dd, z3, "z3")
+    if abs(p - r) > abs(p + r) and abs(c ** 2 * dd) > abs(z3):
+        # on this branch p + r cancels, and with it the numerator of b: both
+        # lose the digits of a small z3.  (p + r)(p - r) = c z3 (z3^2 -
+        # c^3 dd^2 z2), and the relation zx + xz + c y^2 = 0 reads
+        # z3 + c (a^2 - c dd b) = 0, so the same a and b follow without them
+        a = (z3 ** 2 - c ** 3 * dd ** 2 * z2) / (p - r)
+        b = (c * a ** 2 + z3) / (c ** 2 * dd)
     y = np.array([[a, b], [-c * dd, -a]], dtype=complex)
     z = np.array([[-z4, z2], [z3, z4]], dtype=complex)
     return _N2, y, z
@@ -526,6 +535,23 @@ FAMILIES = {
 }
 
 REPRESENTATIVE_IDS = ("t3f1", "t3f2", "t4f1", "t4f2", "t4f3", "t4f4")
+
+
+def t3f1_shear(z2, z3, z4):
+    """The t3f1 parameters of the t1f4 member at (z2, z3, z4), and the shear
+    that conjugates the one to the other.
+
+    Conjugation by ``S = I + t N``, ``N = [[0, 1], [0, 0]]``, fixes the image
+    of x and maps the t1f4 member at (z2, z3, z4) to the t1f4 member at
+    ``(z2 + 2 t z4 - t^2 z3, z3, z4 - t z3)`` in the same branch: z3 and
+    ``dd = z2 z3 + z4^2``, hence the radical, are invariant, and the image
+    of y follows (this is the shear of criterion 04).  With
+    ``t = (z4 - 1) / z3`` the image has z4 = 1, so it is the t3f1 member at
+    ``z2' = (dd - 1) / z3``.  Returns ``({"z2": z2', "z3": z3}, S)``.
+    """
+    t = _div(z4 - 1.0, z3, "z3")
+    shear = np.array([[1.0, t], [0.0, 1.0]], dtype=complex)
+    return {"z2": (z2 * z3 + z4 ** 2 - 1.0) / z3, "z3": z3}, shear
 
 
 def family_ids():

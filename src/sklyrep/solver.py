@@ -5,8 +5,8 @@ defining relations become a quadratic system in the remaining matrix
 entries.  The generator images are one affine tensor in the unknowns
 (``_layout``), and the system's coefficients come from expanding each
 relation in that tensor (``_build_system``).  The solver runs damped
-Gauss-Newton from many random starts on that system augmented with a few
-random affine slices (the slices spread the starts across the
+Gauss-Newton from many random starts, each on the system restricted to a
+few random affine slices (the slices spread the starts across the
 positive-dimensional solution components), then re-polishes every endpoint
 on the unsliced system, keeps the points that satisfy the relations,
 deduplicates them up to simultaneous conjugation, and matches each
@@ -19,9 +19,13 @@ sweep (``one_dim_solutions``), runs all of its starts at once through
 stack of starts, least-squares steps by the ``lstsq(rcond=None)`` rule
 (``_lstsq_steps``), and step halving per start.  A square Jacobian that
 carries a conditioning certificate gets its step from one batched LU
-solve; every other row takes the SVD pseudo-inverse.  The slices are
-per-start linear equations that the kernel appends to the shared quadratic
-system.
+solve; every other row takes the SVD pseudo-inverse.  A slice is not an
+extra equation: each start runs in its own affine chart ``u = P + N z`` of
+its slice (``_slice_charts``), the chart of a witness set in numerical
+algebraic geometry (Sommese and Wampler, *The Numerical Solution of Systems
+of Polynomials*, 2005, ch. 13).  The slice equations then hold exactly at
+every iterate and the Jacobians shrink to ``J N``.  Pinning tiny unknowns
+to zero uses the same kernel, in the chart spanned by the unpinned axes.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .reptheory import (
     Presentation,
     Rep,
     _complex_to_pair,
+    _conjugates,
     classify,
     find_conjugator,
     fingerprint,
@@ -236,10 +241,11 @@ def _build_system(pres: Presentation, jordan_kind, n):
     return images, _QuadSystem(T, q[:, 0, 1:] + q[:, 1:, 0], q[:, 0, 0])
 
 
-def _rep_from_unknowns(u, gens, images, env):
-    """The representation at the unknowns u: ``images`` contracted with h = (1, u)."""
-    mats = np.einsum("a,gaij->gij", np.concatenate(([1.0], u)), images)
-    return Rep(images.shape[-1], dict(zip(gens, mats)), dict(env))
+def _images_at(images, U):
+    """The generator images at each row u of the (S, m) stack U, shape
+    (S, n_gens, n, n): ``images`` contracted with h = (1, u)."""
+    H = np.concatenate([np.ones((len(U), 1), dtype=complex), U], axis=1)
+    return np.einsum("sa,gaij->sgij", H, images)
 
 
 def _lstsq_steps(jac, rhs):
@@ -274,33 +280,31 @@ def _lstsq_steps(jac, rhs):
     return steps
 
 
-def _gauss_newton_batch(system, U0, affine=None):
+def _gauss_newton_batch(system, U0, chart=None):
     """Damped Gauss-Newton on every row of the (S, n) stack U0 at once.
 
     Each row takes a least-squares step (``_lstsq_steps``), then up to 30
     halvings until its residual norm drops.  A row freezes once it converges
-    or when no halving improves it.  With ``affine = (A, b)``, an (S, k, n)
-    and an (S, k) stack, row s also solves the linear equations
-    ``A[s] u = b[s]``: its residual gains ``A[s] u - b[s]`` and its Jacobian
-    the rows ``A[s]``.  Returns the endpoints, their residual norms and the
+    or when no halving improves it.  With ``chart``, an (S, n, m) stack, row
+    s moves only in its affine chart ``u = U0[s] + chart[s] z``: its
+    Jacobian is ``J(u) chart[s]`` and its step ``chart[s] dz``, so the
+    linear equations that cut out the chart hold at every iterate and never
+    enter the Jacobian.  Returns the endpoints, their residual norms and the
     converged flags.
     """
 
-    def residuals(idx, X):
-        R = system.residuals(X)
-        if affine is None:
-            return R
-        lin, targets = affine
-        return np.concatenate([R, (lin[idx] @ X[:, :, None])[..., 0] - targets[idx]], axis=1)
-
-    def jacobians(idx, X):
+    def steps(idx, X, R):
         J = system.jacobians(X)
-        return J if affine is None else np.concatenate([J, affine[0][idx]], axis=1)
+        if chart is None:
+            return _lstsq_steps(J, -R)
+        dz = _lstsq_steps(J @ chart[idx], -R)
+        return (chart[idx] @ dz[..., None])[..., 0]
 
     U = np.array(U0, dtype=complex)
-    R = residuals(slice(None), U)
+    R = system.residuals(U)
     rn = np.linalg.norm(R, axis=1)
-    block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * U.shape[1] * U.itemsize))
+    width = U.shape[1] if chart is None else chart.shape[2]
+    block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * max(width, 1) * U.itemsize))
     live = np.ones(len(U), dtype=bool)
     for _ in range(MAX_STEPS):
         live &= rn > CONVERGE_RESIDUAL
@@ -310,11 +314,11 @@ def _gauss_newton_batch(system, U0, affine=None):
         step = np.empty((rows.size, U.shape[1]), dtype=complex)
         for i in range(0, rows.size, block):
             part = rows[i:i + block]
-            step[i:i + block] = _lstsq_steps(jacobians(part, U[part]), -R[part])
+            step[i:i + block] = steps(part, U[part], R[part])
         t = 1.0
         for _halving in range(30):
             U_try = U[rows] + t * step
-            R_try = residuals(rows, U_try)
+            R_try = system.residuals(U_try)
             rn_try = np.linalg.norm(R_try, axis=1)
             better = rn_try < rn[rows]
             done = rows[better]
@@ -387,13 +391,48 @@ def _char_gap(a, b):
     return float(np.max(np.abs(a - b)) / (1.0 + max(np.linalg.norm(a), np.linalg.norm(b))))
 
 
+def _match_sheared_t3f1(task, rep, tol):
+    """Match a ``one_block`` solution to t3f1 through its own gauge.
+
+    The solution's z image is ``[[-z4, z2], [z3, z4]]``, so it is conjugate,
+    by a well-conditioned Q, to the t1f4 member at its own (z2, z3, z4) in
+    one branch.  The exact shear ``S`` of ``sklyanin.t3f1_shear`` takes that
+    member to the t3f1 member, whose entries grow like 1/z3: ``S Q`` is
+    accepted when it passes ``find_conjugator``'s acceptance test at ``tol``
+    in the original coordinates.  This matches small-z3 classes whose only
+    conjugator to the t3f1 member is too ill-conditioned for the direct
+    search.
+    """
+    c, z = complex(task.c), rep.images["z"]
+    z2, z3, z4 = z[0, 1], z[1, 0], (z[1, 1] - z[0, 0]) / 2.0
+    branches = ("principal", "negated")
+    try:
+        params, shear = sklyanin.t3f1_shear(z2, z3, z4)
+        gauge = [sklyanin.family("t1f4", {"c": c, "z2": z2, "z3": z3, "z4": z4}, branch=b)
+                 for b in branches]
+        targets = [sklyanin.family("t3f1", {"c": c, **params}, branch=b) for b in branches]
+    except (sklyanin.ConstraintError, sklyanin.DenominatorError):
+        return None
+    mats = np.array(rep.matrices(rep.generators))
+    for member in gauge:
+        q = find_conjugator(rep, member, tol)
+        if q is None:
+            continue
+        q = shear @ q
+        for branch, target in zip(branches, targets):
+            if _conjugates(q, mats, np.array(target.matrices(rep.generators)), tol):
+                return "t3f1", params, branch, q / np.linalg.norm(q)
+    return None
+
+
 def _match_sklyanin(task, rep, tol, char):
     """Match an irreducible solution to a representative family member.
 
-    A strict conjugator search runs first; a looser second pass (for
-    solutions polished right next to a component junction) additionally
-    demands that the central characters agree, so it cannot merge distinct
-    classes.
+    A strict conjugator search runs first, then, for ``one_block``
+    solutions, the match to t3f1 through the solution's own gauge
+    (``_match_sheared_t3f1``); a looser last pass (for solutions polished
+    right next to a component junction) additionally demands that the
+    central characters agree, so it cannot merge distinct classes.
     """
     for loose_tol in (tol, 1e-6):
         for fid, params in _family_candidates(task, char):
@@ -416,6 +455,10 @@ def _match_sklyanin(task, rep, tol, char):
                     return fid, params, branch, q
                 if not sklyanin.FAMILIES[fid].has_radical:
                     break
+        if loose_tol == tol and task.jordan_kind == "one_block":
+            match = _match_sheared_t3f1(task, rep, tol)
+            if match is not None:
+                return match
     return None
 
 
@@ -457,62 +500,94 @@ def _slices_and_starts(rng, task, n_u):
     return rows, targets, starts
 
 
+def _slice_charts(rows, targets, starts):
+    """Each start's affine chart on its slice ``rows[s] . u = targets[s]``,
+    in groups of starts whose slice rows have the same rank.
+
+    From the SVD of the slice rows, a start's chart origin is the orthogonal
+    projection of its drawn start onto the slice, and its chart directions
+    are an orthonormal basis of the kernel of its rows.  Singular values at
+    or below ``max(k, n) * eps * sigma_max`` (the ``lstsq`` rule) count as
+    zero, so a repeated coordinate slice keeps every direction of its
+    larger kernel.  Yields ``(idx, origins, directions)`` with directions
+    of shape ``(len(idx), n, n - rank)``.
+    """
+    S, k, n = rows.shape
+    left, sv, vh = np.linalg.svd(rows)
+    kept = sv > max(k, n) * np.finfo(float).eps * sv[:, :1]
+    gap = (rows @ starts[..., None])[..., 0] - targets
+    p = sv.shape[1]
+    coef = np.einsum("skr,sk->sr", left[:, :, :p].conj(), gap)
+    coef = np.divide(coef, sv, out=np.zeros_like(coef), where=kept)
+    origins = starts - np.einsum("srn,sr->sn", vh[:, :p].conj(), coef)
+    rank = np.count_nonzero(kept, axis=1)
+    for r in sorted(set(rank.tolist()), reverse=True):
+        idx = np.flatnonzero(rank == r)
+        yield idx, origins[idx], vh[idx, r:].conj().transpose(0, 2, 1)
+
+
 def _pinned_polish(system, U):
-    """Each endpoint with its tiny unknowns pinned to zero and re-polished,
-    or None where it has no tiny unknown.
+    """The endpoints with a tiny unknown, by index, and each of them with
+    its tiny unknowns pinned to zero and re-polished.
 
     An unknown is tiny when ``0 < |u_j| <= 1e-4 * max(1, max |u|)``.
     Endpoints are polished in groups with the same number of pinned
-    unknowns, so each group's stack has the shape of its own system.
+    unknowns, each in the chart whose directions are its unpinned
+    coordinate axes.
     """
     scale = np.maximum(1.0, np.max(np.abs(U), axis=1))
     tiny = (np.abs(U) > 0.0) & (np.abs(U) <= 1e-4 * scale[:, None])
     counts = np.count_nonzero(tiny, axis=1)
-    pinned = [None] * len(U)
+    n = U.shape[1]
+    found, polished = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=complex)]
     for t in sorted(set(counts.tolist()) - {0}):
         idx = np.flatnonzero(counts == t)
-        cols = np.nonzero(tiny[idx])[1].reshape(len(idx), t)
-        hold = np.zeros((len(idx), t, U.shape[1]), dtype=complex)
-        hold[np.arange(len(idx))[:, None], np.arange(t), cols] = 1.0
-        ends, _, _ = _gauss_newton_batch(system, np.where(tiny[idx], 0.0, U[idx]),
-                                         affine=(hold, np.zeros((len(idx), t), dtype=complex)))
-        for i, u in zip(idx, ends):
-            pinned[i] = u
-    return pinned
+        free = np.nonzero(~tiny[idx])[1].reshape(len(idx), n - t)
+        axes = np.zeros((len(idx), n, n - t), dtype=complex)
+        axes[np.arange(len(idx))[:, None], free, np.arange(n - t)] = 1.0
+        ends, _, _ = _gauss_newton_batch(system, np.where(tiny[idx], 0.0, U[idx]), chart=axes)
+        found.append(idx)
+        polished.append(ends)
+    return np.concatenate(found), np.concatenate(polished)
 
 
 def _kept_solutions(task, pres):
     """The certified endpoints of the multistart solve, in start order, as
     (rep, residual) pairs.
 
-    All starts run through ``_gauss_newton_batch``: first on the base system
-    plus each start's slices, then on the base system alone.  Newton
-    endpoints that cling to a degenerate stratum (some unknowns tiny but not
-    zero) belong to classes at parameter magnitudes far outside numeric
-    reach; their tiny unknowns are pinned to exactly zero and re-polished,
-    and the stratum point replaces the endpoint when it still solves the
-    relations.
+    All starts run through ``_gauss_newton_batch``: first each in its chart
+    on its own slices (``_slice_charts``), then on the base system alone.
+    Newton endpoints that cling to a degenerate stratum (some unknowns tiny
+    but not zero) belong to classes at parameter magnitudes far outside
+    numeric reach; their tiny unknowns are pinned to exactly zero and
+    re-polished, and the stratum point replaces the endpoint when it still
+    solves the relations.  Newton approaches a singular point of the
+    stratum only linearly and stops within about 1e-5 of it, so a stratum
+    point can have tiny unknowns of its own: the pinning repeats until no
+    replacement is left with one (at most once per unknown).  Every
+    endpoint is certified by one stacked ``relation_residual``.
     """
     gens = pres.generators
     images, base = _build_system(pres, task.jordan_kind, 2)
     env = {"c": complex(task.c)} if task.algebra == "sklyanin" else {}
     rng = np.random.default_rng(task.seed)
-    rows, targets, starts = _slices_and_starts(rng, task, base.n_unknowns)
-    U, _, _ = _gauss_newton_batch(base, starts, affine=(rows, targets))
+    U = np.empty((task.num_starts, base.n_unknowns), dtype=complex)
+    for idx, origins, directions in _slice_charts(*_slices_and_starts(rng, task, base.n_unknowns)):
+        U[idx] = _gauss_newton_batch(base, origins, chart=directions)[0]
     U, _, _ = _gauss_newton_batch(base, U)
-    kept = []
-    for u_fin, u_try in zip(U, _pinned_polish(base, U)):
-        if u_try is not None:
-            rep_try = _rep_from_unknowns(u_try, gens, images, env)
-            if relation_residual(pres, rep_try) <= KEEP_RESIDUAL:
-                u_fin = u_try
-        if np.max(np.abs(u_fin)) <= ZERO_SNAP:
-            u_fin = np.zeros_like(u_fin)
-        rep = _rep_from_unknowns(u_fin, gens, images, env)
-        rr = relation_residual(pres, rep)
-        if rr <= KEEP_RESIDUAL:
-            kept.append((rep, rr))
-    return kept
+    todo = np.arange(len(U))
+    for _pass in range(base.n_unknowns):
+        idx, pinned = _pinned_polish(base, U[todo])
+        solves = relation_residual(pres, _images_at(images, pinned)) <= KEEP_RESIDUAL
+        todo = todo[idx[solves]]
+        if not todo.size:
+            break
+        U[todo] = pinned[solves]
+    U[np.max(np.abs(U), axis=1) <= ZERO_SNAP] = 0.0
+    mats = _images_at(images, U)
+    residuals = relation_residual(pres, mats)
+    return [(Rep(2, dict(zip(gens, m)), dict(env)), float(rr))
+            for m, rr in zip(mats, residuals) if rr <= KEEP_RESIDUAL]
 
 
 def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
@@ -553,7 +628,11 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append(sol)
-    solutions.sort(key=lambda s: (_rounded_key(fingerprint(s.rep)), s.residual))
+    mats = np.array([s.rep.matrices(pres.generators) for s in solutions])
+    fps = fingerprint(mats.reshape(-1, len(pres.generators), 2, 2))
+    order = sorted(range(len(solutions)),
+                   key=lambda i: (_rounded_key(fps[i]), solutions[i].residual))
+    solutions = [solutions[i] for i in order]
 
     stats = {
         "starts": int(task.num_starts),
@@ -568,8 +647,8 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     """Scalar (1-dimensional) solutions of the presentation via Newton sweeps.
 
     All starts run through one batched Gauss-Newton solve.  Endpoints with
-    every value below ``ZERO_SNAP`` are snapped to the exact zero, and each
-    distinct endpoint is certified once by ``relation_residual``.  Certified
+    every value below ``ZERO_SNAP`` are snapped to the exact zero, and all
+    endpoints are certified by one stacked ``relation_residual``.  Certified
     endpoints are deduplicated in start order: an endpoint is kept unless it
     lies within 1e-4 of a root kept before it.
 
@@ -581,13 +660,7 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     starts = _disk_samples(rng, (num_starts, system.n_unknowns))
     ends, _, _ = _gauss_newton_batch(system, starts)
     ends[np.max(np.abs(ends), axis=1) <= ZERO_SNAP] = 0.0
-    verdicts = {}
-    for u in ends:
-        key = u.tobytes()
-        if key not in verdicts:
-            rep = _rep_from_unknowns(u, pres.generators, images, {})
-            verdicts[key] = relation_residual(pres, rep) <= KEEP_RESIDUAL
-    pending = ends[[verdicts[u.tobytes()] for u in ends]]
+    pending = ends[relation_residual(pres, _images_at(images, ends)) <= KEEP_RESIDUAL]
     roots = []
     while len(pending):
         roots.append(pending[0])

@@ -399,6 +399,21 @@ def test_burnside_span_closure_matches_word_bfs(seed):
     assert is_irreducible_burnside(rep) == expected
 
 
+@pytest.mark.parametrize("eps, irreducible", [(1e-4, False), (2e-4, True)])
+def test_burnside_span_closure_keeps_new_words_at_their_own_magnitude(eps, irreducible):
+    # X = eps E12 and Y = eps E21 span I, E12 and E21 well above the cut, but
+    # the fourth direction E11 - E22 first shows in the words XY and YX, at
+    # eps^2 / sqrt(2) against the cut 1e-8 * sqrt(2): eps = 1e-4 leaves it
+    # just below, 2e-4 just above.  A closure that multiplied the unit new
+    # directions instead would see it at eps / sqrt(2) and call both
+    # irreducible.
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((2, 2, 2)) @ [1, 1j])
+    units = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=complex)
+    mats = q @ (eps * units) @ q.conj().T
+    assert (_bfs_span_rank(list(mats), 2) == 4) == irreducible
+    assert is_irreducible_burnside(Rep(2, dict(zip("xy", mats)))) == irreducible
+
+
 def test_burnside_on_a_reducible_4x4_rep_is_fast(rng):
     mats = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     mats[:, 2:, :2] = 0.0  # an invariant plane

@@ -5,6 +5,7 @@ from sklyrep.freealg import NcPoly, eval_ncpoly
 from sklyrep.reptheory import (
     Presentation,
     Rep,
+    conjugate_rep,
     find_conjugator,
     find_invariant_line,
     is_irreducible_burnside,
@@ -32,6 +33,7 @@ from sklyrep.sklyanin import (
     s11c_presentation,
     sigma,
     sigma_order,
+    t3f1_shear,
     validate_s11c,
     xc_gradient,
     xc_slice,
@@ -240,6 +242,35 @@ def test_table1_family3_equivalent_to_family4_at_matched_parameters(rng):
             find_conjugator(m3, family("t1f4", sheared, branch=br)) is not None
             for br in ("negated", "principal")
         )
+
+
+def test_t3f1_shear_conjugates_t1f4_to_its_t3f1_member(rng):
+    for _ in range(25):
+        c = random_valid_c(rng)
+        z2, z3, z4 = (random_param(rng) for _ in range(3))
+        params, shear = t3f1_shear(z2, z3, z4)
+        assert params["z3"] == z3
+        for branch in ("principal", "negated"):
+            env = {"c": c, "z2": z2, "z3": z3, "z4": z4}
+            sheared = conjugate_rep(family("t1f4", env, branch=branch), shear)
+            member = family("t3f1", {"c": c, **params}, branch=branch)
+            for g in "xyz":
+                assert np.allclose(sheared.images[g], member.images[g], rtol=0, atol=1e-12)
+    with pytest.raises(DenominatorError):
+        t3f1_shear(0.5, 0.0, 0.7)
+
+
+def test_t1f34_keeps_its_digits_at_small_z3():
+    # on one branch a = (c^2 z4 dd + r) / (c z3) and b = (2 a z4 + c z2 dd) / z3
+    # cancel when z3 is small (a residual near 1e-10 at z3 = 1e-5 and c = 40);
+    # the constructor takes equal quotients without the cancellation there
+    z2, z4 = 0.7 - 0.2j, 1.3 + 0.4j
+    for c in (40.0, 5.0, 0.05, 0.5 + 1.2j):
+        for z3 in (1e-1, 1e-3, 1e-5, 1e-7):
+            for fid in ("t1f3", "t1f4"):
+                for branch in ("principal", "negated"):
+                    rep = family(fid, {"c": c, "z2": z2, "z3": z3, "z4": z4}, branch=branch)
+                    assert relation_residual(s11c_presentation(c), rep) <= 1e-14
 
 
 def test_table2_family4_equivalent_to_family2(rng):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sklyrep.freealg import eval_ncpoly, parse_ncpoly
-from sklyrep.reptheory import Presentation, relation_residual
-from sklyrep.sklyanin import s11c_presentation
+from sklyrep.matkit import DEFAULT_RTOL
+from sklyrep.reptheory import Presentation, _conjugates, relation_residual
+from sklyrep.sklyanin import central_character, family, s11c_presentation
 from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
     CONVERGE_RESIDUAL,
@@ -16,8 +17,11 @@ from sklyrep.solver import (
     _build_system,
     _disk_samples,
     _gauss_newton_batch,
+    _images_at,
     _lstsq_steps,
-    _rep_from_unknowns,
+    _match_sklyanin,
+    _pinned_polish,
+    _slice_charts,
     one_dim_solutions,
     report_to_json,
     solve_reps,
@@ -78,6 +82,24 @@ def test_skew_solver_closure():
     assert all(s.matched_family == "psi" for s in irr)
 
 
+def test_small_z3_one_block_solutions_match_t3f1_through_the_shear():
+    # a one_block solution at z3 ~ 1e-5 in its own gauge: its t3f1 member has
+    # entries near 1e10 and no conjugator that the direct search accepts, and
+    # the loose pass would take a t3f2 member, whose class has z3 = 0 (z3 is
+    # invariant under I + tN, the centralizer of x)
+    for c in (40.0, 12.0):
+        for z3 in (1.5e-5, 1e-5):
+            rep = family("t1f4", {"c": c, "z2": 0.7 - 0.2j, "z3": z3, "z4": 1.3 + 0.4j})
+            task = SolveTask("sklyanin", "one_block", c=c)
+            fid, params, branch, q = _match_sklyanin(task, rep, DEFAULT_RTOL,
+                                                     central_character(rep, tol=1e-6))
+            assert fid == "t3f1" and params["z3"] == z3
+            member = family("t3f1", {"c": c, **params}, branch=branch)
+            assert np.max(np.abs(member.images["y"])) > 1e8
+            mats = [np.array(r.matrices("xyz")) for r in (rep, member)]
+            assert _conjugates(q, *mats, DEFAULT_RTOL)
+
+
 def test_one_dim_sklyanin_only_origin():
     roots = one_dim_solutions(s11c_presentation(2.0), num_starts=120, seed=5)
     assert roots == [(0j, 0j, 0j)]
@@ -93,7 +115,7 @@ def test_quadratic_system_matches_relations():
         images, system = _build_system(pres, kind, n)
         for _ in range(5):
             u = _disk_samples(rng, system.n_unknowns)
-            mats = _rep_from_unknowns(u, pres.generators, images, {}).matrices(pres.generators)
+            mats = _images_at(images, u[None])[0]
             expected = np.concatenate([eval_ncpoly(r, mats).ravel() for r in pres.relations])
             gap = np.max(np.abs(system.residuals(u[None])[0] - expected))
             assert gap <= 1e-12 * (1.0 + np.max(np.abs(expected))), (kind, n)
@@ -103,26 +125,26 @@ def test_quadratic_system_matches_relations():
         _build_system(cubic, "two_blocks", 2)
 
 
-def _serial_gauss_newton(system, u0, rows=None, targets=None):
-    """Damped Gauss-Newton from one start on the system plus the linear
-    equations ``rows . u = targets``, one ``lstsq`` step at a time (reference)."""
+def _serial_gauss_newton(system, p, n_dirs=None):
+    """Damped Gauss-Newton from one start p, one ``lstsq`` step at a time
+    (reference).  With ``n_dirs`` = N the iterates stay in the affine chart
+    ``p + N z``: each step solves ``J(u) N dz = -r(u)`` and moves u by N dz."""
     T, B, C = system.T, system.B, system.C
-    if rows is not None:
-        T = np.concatenate([T, np.zeros((len(rows),) + T.shape[1:], dtype=complex)])
-        B = np.concatenate([B, rows])
-        C = np.concatenate([C, -targets])
 
     def residual(u):
         return C + B @ u + np.einsum("kij,i,j->k", T, u, u)
 
-    u = np.asarray(u0, dtype=complex).copy()
+    u = np.asarray(p, dtype=complex).copy()
     r = residual(u)
     rn = np.linalg.norm(r)
     for _ in range(MAX_STEPS):
         if rn <= CONVERGE_RESIDUAL:
             break
         jac = B + 2.0 * np.einsum("kij,j->ki", T, u)
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        if n_dirs is None:
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        else:
+            step = n_dirs @ np.linalg.lstsq(jac @ n_dirs, -r, rcond=None)[0]
         t = 1.0
         for _halving in range(30):
             r_try = residual(u + t * step)
@@ -133,6 +155,16 @@ def _serial_gauss_newton(system, u0, rows=None, targets=None):
         else:
             break
     return u, rn, rn <= CONVERGE_RESIDUAL
+
+
+def _assert_matches_serial(system, starts, charts=None):
+    ends, _, converged = _gauss_newton_batch(system, starts, chart=charts)
+    for s, (u, ok) in enumerate(zip(ends, converged)):
+        ref, _, ref_ok = _serial_gauss_newton(system, starts[s],
+                                              None if charts is None else charts[s])
+        assert ok == ref_ok
+        assert np.max(np.abs(u - ref)) <= 1e-12
+    return converged
 
 
 def test_batched_kernel_matches_serial_reference():
@@ -150,24 +182,64 @@ def test_batched_kernel_matches_serial_reference():
                          np.zeros((2, 2), complex), -np.ones(2, complex))
     systems.append(circle)
     for system in systems:
-        starts = _disk_samples(rng, (50, system.n_unknowns))
-        ends, _, converged = _gauss_newton_batch(system, starts)
-        for u0, u, ok in zip(starts, ends, converged):
-            ref, _, ref_ok = _serial_gauss_newton(system, u0)
-            assert ok == ref_ok
-            assert np.max(np.abs(u - ref)) <= 1e-12
+        _assert_matches_serial(system, _disk_samples(rng, (50, system.n_unknowns)))
     # one random line per start through the skew ring's coordinate axes and
-    # through the circle: isolated roots, as in the sliced 2-dimensional solve
+    # through the circle, in the line's own chart: isolated roots, as in the
+    # sliced 2-dimensional solve
     for system in (_build_system(skew_presentation(), "one_block", 1)[1], circle):
-        starts = _disk_samples(rng, (50, 2))
         rows = _disk_samples(rng, (50, 1, 2))
         targets = _disk_samples(rng, (50, 1))
-        ends, _, converged = _gauss_newton_batch(system, starts, affine=(rows, targets))
-        assert converged.any()
-        for u0, a, b, u, ok in zip(starts, rows, targets, ends, converged):
-            ref, _, ref_ok = _serial_gauss_newton(system, u0, a, b)
-            assert ok == ref_ok
-            assert np.max(np.abs(u - ref)) <= 1e-12
+        [(idx, origins, directions)] = _slice_charts(rows, targets, _disk_samples(rng, (50, 2)))
+        assert np.array_equal(idx, np.arange(50)) and directions.shape == (50, 2, 1)
+        assert _assert_matches_serial(system, origins, directions).any()
+
+
+def test_slice_charts_keep_every_direction_of_a_repeated_coordinate_slice():
+    rng = np.random.default_rng(37)
+    # the sphere u0^2 + u1^2 + u2^2 = 1 and two slices per start: a line
+    # meets it in isolated roots, a repeated coordinate slice in a circle
+    n = 3
+    sphere = _QuadSystem(np.eye(n, dtype=complex)[None], np.zeros((1, n), complex),
+                         -np.ones(1, complex))
+    rows = _disk_samples(rng, (40, 2, n))
+    targets = _disk_samples(rng, (40, 2))
+    for s in range(0, 40, 2):  # e_j . u = 0 twice, as the slice draw can give
+        rows[s] = 0.0
+        rows[s, :, s % n] = 1.0
+        targets[s] = 0.0
+    starts = _disk_samples(rng, (40, n))
+    groups = list(_slice_charts(rows, targets, starts))
+    assert [(idx.tolist(), d.shape[2]) for idx, _, d in groups] == [
+        (list(range(1, 40, 2)), n - 2), (list(range(0, 40, 2)), n - 1)]
+    for idx, origins, directions in groups:
+        for s, p, dirs in zip(idx, origins, directions):
+            # the origin is the start's orthogonal projection onto the slice,
+            # and the directions are an orthonormal basis of its kernel
+            assert np.max(np.abs(rows[s] @ p - targets[s])) <= 1e-12
+            assert np.max(np.abs(rows[s] @ dirs)) <= 1e-12
+            assert np.max(np.abs(dirs.conj().T @ dirs - np.eye(dirs.shape[1]))) <= 1e-12
+            assert np.max(np.abs(dirs.conj().T @ (starts[s] - p))) <= 1e-12
+        assert _assert_matches_serial(sphere, origins, directions).all()
+
+
+def test_pinned_polish_runs_on_the_unpinned_axes():
+    rng = np.random.default_rng(43)
+    # the curve u0^2 + u1^2 + u2^2 = 1, u0 u1 + u0 u2 + u1 u2 = 0: one or two
+    # pinned unknowns leave isolated roots
+    T = np.stack([np.eye(3), (np.ones((3, 3)) - np.eye(3)) / 2.0]).astype(complex)
+    curve = _QuadSystem(T, np.zeros((2, 3), complex), np.array([-1.0, 0.0], dtype=complex))
+    ends = _disk_samples(rng, (40, 3))
+    ends[np.abs(ends) < 0.1] = 0.1
+    ends[5] = 0.0  # exact zeros are not tiny
+    for s in range(0, 40, 3):  # one or two unknowns on the tiny scale
+        ends[s, [s % 3, (s + 1) % 3][: 1 + s % 2]] = 1e-6
+    idx, pinned = _pinned_polish(curve, ends)
+    assert sorted(idx.tolist()) == list(range(0, 40, 3))
+    for s, u in zip(idx, pinned):
+        tiny = np.abs(ends[s]) == 1e-6
+        assert np.all(u[tiny] == 0.0)
+        ref, _, _ = _serial_gauss_newton(curve, np.where(tiny, 0.0, ends[s]), np.eye(3)[:, ~tiny])
+        assert np.max(np.abs(u - ref)) <= 1e-12
 
 
 def _random_unitary(rng, n):
