@@ -9,9 +9,12 @@ Gauss-Newton from many random starts, each on the system restricted to a
 few random affine slices (the slices spread the starts across the
 positive-dimensional solution components), then re-polishes every endpoint
 on the unsliced system, keeps the points that satisfy the relations,
-deduplicates them up to simultaneous conjugation, and matches each
-irreducible solution to a representative family through its central
-character.
+deduplicates them up to simultaneous conjugation, and certifies each
+irreducible class by an explicit conjugator to a representative family
+member.  One loop (``_match``) serves both algebras: it runs over one
+candidate list (``_candidates``), the members at the class's central
+character and, for ``one_block``, the t3f1 member reached through the
+solution's own gauge.
 
 Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
 sweep (``one_dim_solutions``), runs all of its starts at once through
@@ -86,10 +89,6 @@ COORD_SLICE_PROB = 0.45
 # endpoints with every image below this norm are snapped to the exact zero
 # (trivial) solution, which Newton approaches only algebraically
 ZERO_SNAP = 1e-5
-
-# a non-zero endpoint whose central character is this close to the origin sits
-# at working precision on the reducible stratum and cannot be certified
-DEGENERATE_CHAR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -346,134 +345,130 @@ def _sqrt_pair(z):
     return (r, -r) if abs(r) > 0 else (r,)
 
 
-def _family_candidates(task, char):
+def _character(task, rep):
+    """The central character of a solution: the point (u1, u2, u3, g) on
+    S(1,1,c), (u1, u2) on the skew ring.  Raises ``ValueError`` where the
+    centre is not scalar."""
+    if task.algebra == "skew":
+        return skew_center_point(rep, tol=1e-6)
+    return sklyanin.central_character(rep, tol=1e-6).point
+
+
+def _candidates(task, rep, char):
+    """The family members a solution is matched against, in order, as
+    ``(fid, params, gauge, shear)``.
+
+    First the members at the central character ``char``, by closed-form
+    inversion (``psi`` at alpha^2 = u1, beta = u2 on the skew ring); their
+    ``gauge`` and ``shear`` are None.  A ``one_block`` solution then adds
+    the t3f1 member reached through its own gauge: its z image is
+    ``[[-z4, z2], [z3, z4]]``, so it is conjugate, by a well-conditioned Q,
+    to the t1f4 member at ``gauge = (z2, z3, z4)`` in one branch, and the
+    exact shear of ``sklyanin.t3f1_shear`` takes that member to the t3f1
+    member, whose entries grow like 1/z3.
+    """
+    if task.algebra == "skew":
+        u1, u2 = char
+        return [("psi", {"alpha": alpha, "beta": u2}, None, None)
+                for alpha in _sqrt_pair(u1) if abs(alpha) > 1e-10]
     c = complex(task.c)
-    u1, u2, u3 = char.u1, char.u2, char.u3
+    u1, u2, u3 = char[:3]
     cands = []
     if task.jordan_kind == "one_block":
         z3 = -c * u2
         if abs(z3) > 1e-8:
-            cands.append(("t3f1", {"z2": (u3 - 1.0) / z3, "z3": z3}))
+            cands.append(("t3f1", {"z2": (u3 - 1.0) / z3, "z3": z3}, None, None))
         for z4 in _sqrt_pair(u3):
             if abs(z4) > 1e-8:
-                cands.append(("t3f2", {"z4": z4}))
-        return cands
+                cands.append(("t3f2", {"z4": z4}, None, None))
+        z = rep.images["z"]
+        gauge = {"z2": z[0, 1], "z3": z[1, 0], "z4": (z[1, 1] - z[0, 0]) / 2.0}
+        try:
+            params, shear = sklyanin.t3f1_shear(**gauge)
+        except sklyanin.DenominatorError:
+            return cands
+        return cands + [("t3f1", params, gauge, shear)]
     for x1 in _sqrt_pair(u1):
         if abs(x1) <= 1e-10:
             continue
-        cands.append(("t4f2", {"x4": x1}))
-        y4_f1 = c * u3 / (2.0 * x1)
-        for z4 in _sqrt_pair(u3):
-            cands.append(("t4f1", {"y4": y4_f1, "z4": z4}))
-        z4_f3 = c * u2 / (2.0 * x1)
-        for y4 in _sqrt_pair(u2):
-            cands.append(("t4f3", {"y4": y4, "z4": z4_f3}))
-        z4 = c * u2 / (2.0 * x1)
-        y4 = c * u3 / (2.0 * x1)
-        quad = np.array(
-            [
-                2.0 * x1 * z4 - c * y4 ** 2,
-                c ** 2 * x1 ** 2 + 2.0 * c * y4 * z4,
-                2.0 * x1 * y4 - c * z4 ** 2,
-            ],
-            dtype=complex,
-        )
+        y4, z4 = c * u3 / (2.0 * x1), c * u2 / (2.0 * x1)
+        cands.append(("t4f2", {"x4": x1}, None, None))
+        cands += [("t4f1", {"y4": y4, "z4": r}, None, None) for r in _sqrt_pair(u3)]
+        cands += [("t4f3", {"y4": r, "z4": z4}, None, None) for r in _sqrt_pair(u2)]
+        quad = np.array([2.0 * x1 * z4 - c * y4 ** 2, c ** 2 * x1 ** 2 + 2.0 * c * y4 * z4,
+                         2.0 * x1 * y4 - c * z4 ** 2], dtype=complex)
         if np.max(np.abs(quad)) > 1e-12:
             for z3 in np.roots(quad):
                 if np.isfinite(z3):
-                    cands.append(("t4f4", {"y4": y4, "z3": z3, "z4": z4}))
+                    cands.append(("t4f4", {"y4": y4, "z3": z3, "z4": z4}, None, None))
     return cands
 
 
 def _char_gap(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     return float(np.max(np.abs(a - b)) / (1.0 + max(np.linalg.norm(a), np.linalg.norm(b))))
 
 
-def _match_sheared_t3f1(task, rep, tol):
-    """Match a ``one_block`` solution to t3f1 through its own gauge.
-
-    The solution's z image is ``[[-z4, z2], [z3, z4]]``, so it is conjugate,
-    by a well-conditioned Q, to the t1f4 member at its own (z2, z3, z4) in
-    one branch.  The exact shear ``S`` of ``sklyanin.t3f1_shear`` takes that
-    member to the t3f1 member, whose entries grow like 1/z3: ``S Q`` is
-    accepted when it passes ``find_conjugator``'s acceptance test at ``tol``
-    in the original coordinates.  This matches small-z3 classes whose only
-    conjugator to the t3f1 member is too ill-conditioned for the direct
-    search.
-    """
-    c, z = complex(task.c), rep.images["z"]
-    z2, z3, z4 = z[0, 1], z[1, 0], (z[1, 1] - z[0, 0]) / 2.0
-    branches = ("principal", "negated")
+def _member(task, fid, params, branch):
+    """The family member at ``params``, or None where its constraints or
+    denominators fail."""
+    if fid == "psi":
+        return skew_rep(SkewRepSpec("two_dim", params["alpha"], params["beta"]))
     try:
-        params, shear = sklyanin.t3f1_shear(z2, z3, z4)
-        gauge = [sklyanin.family("t1f4", {"c": c, "z2": z2, "z3": z3, "z4": z4}, branch=b)
-                 for b in branches]
-        targets = [sklyanin.family("t3f1", {"c": c, **params}, branch=b) for b in branches]
-    except (sklyanin.ConstraintError, sklyanin.DenominatorError):
+        return sklyanin.family(fid, {"c": complex(task.c), **params}, branch=branch)
+    except (sklyanin.ConstraintError, sklyanin.DenominatorError,
+            sklyanin.InvalidParametersError):
         return None
-    mats = np.array(rep.matrices(rep.generators))
-    for member in gauge:
-        q = find_conjugator(rep, member, tol)
-        if q is None:
-            continue
-        q = shear @ q
-        for branch, target in zip(branches, targets):
-            if _conjugates(q, mats, np.array(target.matrices(rep.generators)), tol):
-                return "t3f1", params, branch, q / np.linalg.norm(q)
-    return None
 
 
-def _match_sklyanin(task, rep, tol, char):
-    """Match an irreducible solution to a representative family member.
+def _branches(fid):
+    if fid == "psi":
+        return (None,)
+    return ("principal", "negated") if sklyanin.FAMILIES[fid].has_radical else ("principal",)
 
-    A strict conjugator search runs first, then, for ``one_block``
-    solutions, the match to t3f1 through the solution's own gauge
-    (``_match_sheared_t3f1``); a looser last pass (for solutions polished
-    right next to a component junction) additionally demands that the
-    central characters agree, so it cannot merge distinct classes.
+
+def _match(task, rep, tol, char):
+    """Match an irreducible solution to a family member by an explicit
+    conjugator: ``(fid, params, branch, Q)`` or None.
+
+    Two tiers run over the ``_candidates`` list.  The strict tier tries
+    every candidate at ``tol``: a direct one needs ``find_conjugator`` to
+    accept it; a gauge one needs ``find_conjugator`` to accept its gauge
+    member, and the composition with the shear must pass the acceptance
+    test (``_conjugates``) at ``tol`` against the target member in either
+    branch, in the original coordinates.  The loose tier, for solutions
+    polished right next to a component junction, tries only the direct
+    candidates, at 1e-6, and the central characters must also agree, so it
+    cannot merge distinct classes.
     """
-    for loose_tol in (tol, 1e-6):
-        for fid, params in _family_candidates(task, char):
-            env = {"c": complex(task.c), **params}
-            for branch in ("principal", "negated"):
-                try:
-                    member = sklyanin.family(fid, env, branch=branch)
-                except (sklyanin.ConstraintError, sklyanin.DenominatorError,
-                        sklyanin.InvalidParametersError):
+    cands = _candidates(task, rep, char)
+    for loose in (False, True):
+        for fid, params, gauge, shear in cands:
+            if loose and gauge is not None:
+                continue
+            leg = (fid, params) if gauge is None else ("t1f4", gauge)
+            for branch in _branches(leg[0]):
+                member = _member(task, *leg, branch)
+                if member is None:
                     continue
-                if loose_tol > tol:
+                if loose:
                     try:
-                        member_char = sklyanin.central_character(member, tol=1e-6)
+                        if _char_gap(char, _character(task, member)) > 1e-5:
+                            continue
                     except ValueError:
                         continue
-                    if _char_gap(char.point, member_char.point) > 1e-5:
-                        continue
-                q = find_conjugator(rep, member, loose_tol)
-                if q is not None:
+                q = find_conjugator(rep, member, 1e-6 if loose else tol)
+                if q is None:
+                    continue
+                if gauge is None:
                     return fid, params, branch, q
-                if not sklyanin.FAMILIES[fid].has_radical:
-                    break
-        if loose_tol == tol and task.jordan_kind == "one_block":
-            match = _match_sheared_t3f1(task, rep, tol)
-            if match is not None:
-                return match
-    return None
-
-
-def _match_skew(rep, tol):
-    try:
-        u1, u2 = skew_center_point(rep, tol=1e-6)
-    except ValueError:
-        return None
-    for alpha in _sqrt_pair(u1):
-        if abs(alpha) <= 1e-10:
-            continue
-        member = skew_rep(SkewRepSpec("two_dim", alpha, u2))
-        q = find_conjugator(rep, member, tol)
-        if q is not None:
-            return "psi", {"alpha": alpha, "beta": u2}, None, q
+                q = shear @ q
+                mats = np.array(rep.matrices(rep.generators))
+                for target_branch in _branches(fid):
+                    target = _member(task, fid, params, target_branch)
+                    if target is not None and _conjugates(
+                            q, mats, np.array(target.matrices(rep.generators)), tol):
+                        return fid, params, target_branch, q / np.linalg.norm(q)
     return None
 
 
@@ -595,9 +590,12 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
 
     Deterministic for a fixed task (including the seed).  Every reported
     solution satisfies the unsliced relations with normalized residual at
-    most 1e-9; irreducible solutions are matched against the representative
-    families (``t3f*``/``t4f*`` for S(1,1,c), ``psi`` for the skew ring)
-    when the match is confirmed by an explicit conjugator.
+    most 1e-9.  Every class that Burnside calls irreducible goes through
+    ``_match`` against the representative families (``t3f*``/``t4f*`` for
+    S(1,1,c), ``psi`` for the skew ring), and a match is reported only with
+    its explicit conjugator.  A class whose centre is not scalar has no
+    central character; it is left out of the solutions and counted in
+    ``stats["degenerate"]``.
     """
     pres = task.presentation()
     kept = _kept_solutions(task, pres)
@@ -606,25 +604,14 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     solutions = []
     for cls in classes:
         rep, rr = kept[cls.representative]
-        irreducible = is_irreducible_burnside(rep, tol)
-        char = None
-        if irreducible and task.algebra == "sklyanin":
+        sol = Solution(rep, rr, is_irreducible_burnside(rep, tol), multiplicity=len(cls.members))
+        if sol.irreducible:
             try:
-                char = sklyanin.central_character(rep, tol=1e-6)
+                char = _character(task, rep)
             except ValueError:
                 degenerate += len(cls.members)
                 continue
-            if np.linalg.norm(char.point) <= DEGENERATE_CHAR:
-                # indistinguishable from the reducible stratum at this precision
-                degenerate += len(cls.members)
-                continue
-        sol = Solution(rep, rr, irreducible, multiplicity=len(cls.members))
-        if irreducible:
-            match = (
-                _match_sklyanin(task, rep, tol, char)
-                if task.algebra == "sklyanin"
-                else _match_skew(rep, tol)
-            )
+            match = _match(task, rep, tol, char)
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append(sol)

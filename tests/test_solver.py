@@ -6,7 +6,7 @@ import pytest
 from sklyrep.freealg import eval_ncpoly, parse_ncpoly
 from sklyrep.matkit import DEFAULT_RTOL
 from sklyrep.reptheory import Presentation, _conjugates, relation_residual
-from sklyrep.sklyanin import central_character, family, s11c_presentation
+from sklyrep.sklyanin import family, s11c_presentation
 from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
     CONVERGE_RESIDUAL,
@@ -19,7 +19,8 @@ from sklyrep.solver import (
     _gauss_newton_batch,
     _images_at,
     _lstsq_steps,
-    _match_sklyanin,
+    _character,
+    _match,
     _pinned_polish,
     _slice_charts,
     one_dim_solutions,
@@ -79,7 +80,24 @@ def test_skew_solver_closure():
     report = solve_reps(SolveTask("skew", "two_blocks", num_starts=60, seed=4))
     irr = [s for s in report.solutions if s.irreducible]
     assert irr
-    assert all(s.matched_family == "psi" for s in irr)
+    assert all(s.matched_family == "psi" and s.branch is None for s in irr)
+
+
+def test_near_apex_two_blocks_class_matches_by_a_strict_conjugator():
+    # an exact t4f2 solution near the apex of the homogeneous two_blocks
+    # solution cone: its central character is O(|u|^2), below 1e-6, yet the
+    # strict conjugator certificate holds
+    task = SolveTask("sklyanin", "two_blocks", c=40.0, num_starts=200, seed=1466870536)
+    report = solve_reps(task)
+    assert report.stats["degenerate"] == 0
+    near = [s for s in report.solutions
+            if s.irreducible and np.linalg.norm(_character(task, s.rep)) < 1e-6]
+    assert len(near) == 1
+    sol = near[0]
+    assert sol.matched_family == "t4f2"
+    member = family("t4f2", {"c": 40.0, **sol.fitted_params}, branch=sol.branch)
+    mats = [np.array(r.matrices("xyz")) for r in (sol.rep, member)]
+    assert _conjugates(sol.conjugator, *mats, DEFAULT_RTOL)
 
 
 def test_small_z3_one_block_solutions_match_t3f1_through_the_shear():
@@ -91,8 +109,7 @@ def test_small_z3_one_block_solutions_match_t3f1_through_the_shear():
         for z3 in (1.5e-5, 1e-5):
             rep = family("t1f4", {"c": c, "z2": 0.7 - 0.2j, "z3": z3, "z4": 1.3 + 0.4j})
             task = SolveTask("sklyanin", "one_block", c=c)
-            fid, params, branch, q = _match_sklyanin(task, rep, DEFAULT_RTOL,
-                                                     central_character(rep, tol=1e-6))
+            fid, params, branch, q = _match(task, rep, DEFAULT_RTOL, _character(task, rep))
             assert fid == "t3f1" and params["z3"] == z3
             member = family("t3f1", {"c": c, **params}, branch=branch)
             assert np.max(np.abs(member.images["y"])) > 1e8

@@ -1,0 +1,55 @@
+"""Replay the benchmark's solve-sweep tasks and print each report's digest.
+
+    python3 tools/solve_census.py --seeds 1-10 --rounds 4
+
+The rounds come from ``bench/workloads.solve_sweep_round`` as ``bench/run.py``
+draws them (one generator per seed, rounds in order from 0).  Each line gives
+seed, round, task label, the sha256 digest of the report and the attempted and
+failed operation counts of the benchmark's check; the last line the totals.
+Two checkouts are compared by diffing this output.
+"""
+
+import os
+
+# one BLAS thread before numpy loads, as bench/run.py runs the solves
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+from workloads import solve_sweep_round  # noqa: E402
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
+                        help="benchmark seeds, as N or LO-HI (default 1-10)")
+    parser.add_argument("--rounds", type=int, default=4, help="rounds per seed (default 4)")
+    args = parser.parse_args()
+    attempted = failed = 0
+    for seed in args.seeds:
+        rng = np.random.default_rng(seed)
+        for rnd in range(args.rounds):
+            for task in solve_sweep_round(rng, None):
+                output = task.run()
+                outcome = task.check(output)
+                attempted += outcome.attempted
+                failed += outcome.failed
+                print(f"{seed} {rnd} {task.label} {task.digest(output)} "
+                      f"attempted {outcome.attempted} failed {outcome.failed}", flush=True)
+    print(f"total attempted {attempted} failed {failed}")
+
+
+if __name__ == "__main__":
+    main()
