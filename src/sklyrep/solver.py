@@ -20,7 +20,7 @@ Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
 sweep (``one_dim_solutions``), runs all of its starts at once through
 ``_gauss_newton_batch``: batched residuals and Jacobians on an ``(S, n)``
 stack of starts, least-squares steps by the ``lstsq(rcond=None)`` rule
-(``_lstsq_steps``), and step halving per start.  A square Jacobian that
+(``_lstsq_steps``), and exact step-length scoring.  A square Jacobian that
 carries a conditioning certificate gets its step from one batched LU
 solve; every other row takes the SVD pseudo-inverse.  A slice is not an
 extra equation: each start runs in its own affine chart ``u = P + N z`` of
@@ -75,10 +75,10 @@ MAX_STEPS = 100
 # solution an LU solve computes
 SOLVE_CERTIFICATE = 1e-8
 
-# the batched Newton kernel forms Jacobians and steps in blocks of rows whose
-# Jacobian stack stays within this many bytes, since the SVD's factors are
-# as large again: one block for all 200 starts of a 2-dimensional solve
-# raised the peak memory of a solve-sweep benchmark round by about 1 MB
+# the batched Newton kernel forms Jacobians and steps, and scores halved
+# steps, in blocks of rows whose stack of (k, n) Jacobians or (29, k) scores
+# stays within this many bytes (the SVD's factors are as large again): one
+# block for all 200 starts of a 2-D solve raised a solve-sweep peak by 1 MB
 JACOBIAN_BLOCK_BYTES = 2 ** 17
 
 # probability that one slice is a coordinate-vanishing functional e_j . u = 0;
@@ -164,11 +164,15 @@ class _QuadSystem:
         k, n, _ = self.T.shape
         return (U @ self.T.reshape(k * n, n).T).reshape(len(U), k, n)
 
-    def residuals(self, U):
-        """Residual of every row of the (S, n) stack U, shape (S, k)."""
+    def quadratic(self, U):
+        """u^T T_k u for each row u of the (S, n) stack U, shape (S, k)."""
         quad = self._half_jacobians(U)
         quad *= U[:, None, :]
-        return self.C + U @ self.B.T + np.sum(quad, axis=2)
+        return np.sum(quad, axis=2)
+
+    def residuals(self, U):
+        """Residual of every row of the (S, n) stack U, shape (S, k)."""
+        return self.C + U @ self.B.T + self.quadratic(U)
 
     def jacobians(self, U):
         """Jacobian at every row of the (S, n) stack U, shape (S, k, n)."""
@@ -265,6 +269,8 @@ def _lstsq_steps(jac, rhs):
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.linalg.norm(jac, axis=(1, 2)) ** n
             certified = np.abs(np.linalg.det(jac)) > SOLVE_CERTIFICATE * scale
+        if certified.all():
+            return np.linalg.solve(jac, rhs[..., None])[..., 0]
         steps[certified] = np.linalg.solve(jac[certified], rhs[certified, :, None])[..., 0]
     rest = ~certified
     if rest.any():
@@ -282,14 +288,17 @@ def _lstsq_steps(jac, rhs):
 def _gauss_newton_batch(system, U0, chart=None):
     """Damped Gauss-Newton on every row of the (S, n) stack U0 at once.
 
-    Each row takes a least-squares step (``_lstsq_steps``), then up to 30
-    halvings until its residual norm drops.  A row freezes once it converges
-    or when no halving improves it.  With ``chart``, an (S, n, m) stack, row
-    s moves only in its affine chart ``u = U0[s] + chart[s] z``: its
-    Jacobian is ``J(u) chart[s]`` and its step ``chart[s] dz``, so the
-    linear equations that cut out the chart hold at every iterate and never
-    enter the Jacobian.  Returns the endpoints, their residual norms and the
-    converged flags.
+    Each row takes a least-squares step d (``_lstsq_steps``).  Where the
+    full step does not improve a row, the exact quadratic
+    ``r(u + t d) = r(u) + t J(u) d + t^2 d^T T d`` scores ``t = 2^-h``,
+    h = 1..29, in one array operation, and the row is evaluated again at
+    the longest t predicted to improve it.  A row freezes once it converges,
+    or when no t is predicted to improve it or that evaluation does not.
+    With ``chart``, an (S, n, m) stack, row s moves only in its affine chart
+    ``u = U0[s] + chart[s] z``: its Jacobian is ``J(u) chart[s]`` and its
+    step ``chart[s] dz``, so the linear equations that cut out the chart
+    hold at every iterate and never enter the Jacobian.  Returns the
+    endpoints, their residual norms and the converged flags.
     """
 
     def steps(idx, X, R):
@@ -304,6 +313,8 @@ def _gauss_newton_batch(system, U0, chart=None):
     rn = np.linalg.norm(R, axis=1)
     width = U.shape[1] if chart is None else chart.shape[2]
     block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * max(width, 1) * U.itemsize))
+    ladder = 0.5 ** np.arange(1, 30)[:, None]
+    score_block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * ladder.size * U.itemsize))
     live = np.ones(len(U), dtype=bool)
     for _ in range(MAX_STEPS):
         live &= rn > CONVERGE_RESIDUAL
@@ -314,19 +325,27 @@ def _gauss_newton_batch(system, U0, chart=None):
         for i in range(0, rows.size, block):
             part = rows[i:i + block]
             step[i:i + block] = steps(part, U[part], R[part])
-        t = 1.0
-        for _halving in range(30):
-            U_try = U[rows] + t * step
-            R_try = system.residuals(U_try)
-            rn_try = np.linalg.norm(R_try, axis=1)
-            better = rn_try < rn[rows]
-            done = rows[better]
-            U[done], R[done], rn[done] = U_try[better], R_try[better], rn_try[better]
-            rows, step = rows[~better], step[~better]
-            if rows.size == 0:
-                break
-            t *= 0.5
-        live[rows] = False
+        U_try = U[rows] + step
+        R_try = system.residuals(U_try)
+        rn_try = np.linalg.norm(R_try, axis=1)
+        slow = np.flatnonzero(~(rn_try < rn[rows]))
+        t = np.zeros(slow.size)
+        for i in range(0, slow.size, score_block):
+            part = slow[i:i + score_block]
+            lin = (system.jacobians(U[rows[part]]) @ step[part, :, None])[..., 0]
+            quad = system.quadratic(step[part])
+            pred = R[rows[part], None] + ladder * (lin[:, None] + ladder * quad[:, None])
+            better = np.linalg.norm(pred, axis=2) < rn[rows[part], None]
+            t[i:i + score_block] = np.where(better.any(axis=1), ladder[better.argmax(axis=1), 0], 0)
+        retry, t = slow[t > 0.0], t[t > 0.0]
+        if retry.size:
+            U_try[retry] = U[rows[retry]] + t[:, None] * step[retry]
+            R_try[retry] = system.residuals(U_try[retry])
+            rn_try[retry] = np.linalg.norm(R_try[retry], axis=1)
+        better = rn_try < rn[rows]
+        done = rows[better]
+        U[done], R[done], rn[done] = U_try[better], R_try[better], rn_try[better]
+        live[rows[~better]] = False
     return U, rn, rn <= CONVERGE_RESIDUAL
 
 

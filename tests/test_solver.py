@@ -211,6 +211,45 @@ def test_batched_kernel_matches_serial_reference():
         assert _assert_matches_serial(system, origins, directions).any()
 
 
+def test_residual_along_a_step_is_the_exact_quadratic_in_the_step_length():
+    rng = np.random.default_rng(47)
+    systems = [_build_system(s11c_presentation(random_valid_c(rng)), "two_blocks", 2)[1],
+               _build_system(skew_presentation(), "one_block", 2)[1]]
+    ladder = 0.5 ** np.arange(30)
+    for system in systems:
+        U = _disk_samples(rng, (20, system.n_unknowns))
+        D = _disk_samples(rng, (20, system.n_unknowns))
+        R = system.residuals(U)
+        lin = (system.jacobians(U) @ D[..., None])[..., 0]
+        quad = system.quadratic(D)
+        for t in ladder:
+            exact = system.residuals(U + t * D)
+            pred = R + t * lin + t * t * quad
+            scale = np.abs(R) + t * np.abs(lin) + t * t * np.abs(quad)
+            assert np.all(np.abs(pred - exact) <= 1e-12 * scale)
+
+
+def test_kernel_freezes_a_row_that_no_step_length_improves(monkeypatch):
+    # u - 1 = 0 and u + 1 = 0 have no common root; the least-squares point
+    # u = 0 is reached in one step, after which no step length helps beyond
+    # rounding.  Each iteration evaluates the full steps and then, at most
+    # once, the scored ones
+    inconsistent = _QuadSystem(np.zeros((2, 1, 1), complex), np.ones((2, 1), complex),
+                               np.array([-1.0, 1.0], dtype=complex))
+    calls = []
+    residuals = _QuadSystem.residuals
+
+    def counting_residuals(self, U):
+        calls.append(len(U))
+        return residuals(self, U)
+
+    monkeypatch.setattr(_QuadSystem, "residuals", counting_residuals)
+    ends, rn, converged = _gauss_newton_batch(inconsistent, np.array([[0.3], [2.0]], complex))
+    assert len(calls) <= 5
+    assert not converged.any()
+    assert np.max(np.abs(ends)) <= 1e-15 and np.allclose(rn, np.sqrt(2.0))
+
+
 def test_slice_charts_keep_every_direction_of_a_repeated_coordinate_slice():
     rng = np.random.default_rng(37)
     # the sphere u0^2 + u1^2 + u2^2 = 1 and two slices per start: a line

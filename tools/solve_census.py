@@ -1,12 +1,16 @@
-"""Replay the benchmark's solve-sweep tasks and print each report's digest.
+"""Replay the benchmark's solve-sweep or newton-1d tasks and print each
+output's digest.
 
     python3 tools/solve_census.py --seeds 1-10 --rounds 4
+    python3 tools/solve_census.py --workload newton-1d --seeds 1-30 --rounds 10
 
-The rounds come from ``bench/workloads.solve_sweep_round`` as ``bench/run.py``
-draws them (one generator per seed, rounds in order from 0).  Each line gives
-seed, round, task label, the sha256 digest of the report and the attempted and
-failed operation counts of the benchmark's check; the last line the totals.
-Two checkouts are compared by diffing this output.
+The rounds come from ``bench/workloads.solve_sweep_round`` (the default) or
+``bench/workloads.newton_1d_round`` as ``bench/run.py`` draws them (one
+generator per seed, rounds in order from 0).  Each line gives seed, round,
+task label, the sha256 digest of the task's output (a solve report or a
+1-dimensional root set) and the attempted and failed operation counts of the
+benchmark's check; the last line the totals.  Two checkouts are compared by
+diffing this output.
 """
 
 import os
@@ -23,7 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
-from workloads import solve_sweep_round  # noqa: E402
+from workloads import newton_1d_round, solve_sweep_round  # noqa: E402
+
+ROUNDS = {"solve-sweep": solve_sweep_round, "newton-1d": newton_1d_round}
 
 
 def seed_range(text):
@@ -36,12 +42,14 @@ def main():
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
                         help="benchmark seeds, as N or LO-HI (default 1-10)")
     parser.add_argument("--rounds", type=int, default=4, help="rounds per seed (default 4)")
+    parser.add_argument("--workload", choices=sorted(ROUNDS), default="solve-sweep",
+                        help="benchmark workload to replay (default solve-sweep)")
     args = parser.parse_args()
     attempted = failed = 0
     for seed in args.seeds:
         rng = np.random.default_rng(seed)
         for rnd in range(args.rounds):
-            for task in solve_sweep_round(rng, None):
+            for task in ROUNDS[args.workload](rng, None):
                 output = task.run()
                 outcome = task.check(output)
                 attempted += outcome.attempted
