@@ -23,6 +23,7 @@ from . import sklyanin, solver
 from .matkit import DEFAULT_RTOL
 from .reptheory import (
     _complex_to_pair,
+    _matrix_to_json,
     classify,
     find_invariant_line,
     fingerprint,
@@ -238,8 +239,7 @@ def cmd_classify(args) -> int:
                 "representative": cls.representative,
                 "members": sorted(cls.members),
                 "conjugators": {
-                    str(i): [[_complex_to_pair(z) for z in row] for row in q]
-                    for i, q in sorted(cls.conjugators.items())
+                    str(i): _matrix_to_json(q) for i, q in sorted(cls.conjugators.items())
                 },
             }
             for cls in classes

@@ -101,8 +101,9 @@ def relation_residual(pres: Presentation, rep):
     return float(worst) if isinstance(rep, Rep) else worst
 
 
-def _word_span_rank(mats, n, tol):
-    """Dimension of the span of all words in the images, by span closure.
+def _word_span_ranks(mats, tol):
+    """Dimension of the span of all words in the images of each
+    representation of the (count, k, n, n) stack ``mats``, by span closure.
 
     Keeps an orthonormal basis of the span, starting from I, and the part of
     each newly spanned direction at its own magnitude.  Each round multiplies
@@ -112,34 +113,49 @@ def _word_span_rank(mats, n, tol):
     largest word norm seen so far (the scale of the word-matrix rank test).
     The span of words of length <= L + 1 is the span of length <= L plus its
     new elements times the images, so the closure is reached after at most
-    n^2 rounds and n^2 * k products.
+    n^2 rounds and n^2 * k products.  Each round runs on groups with equal
+    basis and product counts, in stacked calls that leave every
+    representation's arithmetic as it is on its own.
     """
-    gens = np.array(mats, dtype=complex).reshape(-1, n, n)
-    right = gens.transpose(1, 0, 2).reshape(n, -1)  # x @ right gives every x @ g
-    basis = np.zeros((1, n * n), dtype=complex)
-    basis[0, :: n + 1] = n ** -0.5
-    products = gens.reshape(-1, n * n)  # I times each image
-    scale = np.sqrt(n)
-    while len(products):
-        scale = max(scale, np.sqrt(np.max(np.sum(np.abs(products) ** 2, axis=1))))
-        outside = products - (products @ basis.conj().T) @ basis
-        _, sv, vh = np.linalg.svd(outside, full_matrices=False)
-        kept = sv > tol * scale
-        basis = np.concatenate([basis, vh[kept]])
-        if len(basis) >= n * n:
-            break
-        new = (sv[kept, None] * vh[kept]).reshape(-1, n)
-        products = (new @ right).reshape(-1, n, len(gens), n).transpose(0, 2, 1, 3)
-        products = products.reshape(-1, n * n)
-    return len(basis)
+    count, k, n, _ = mats.shape
+    basis = np.zeros((count, 1, n * n), dtype=complex)
+    basis[:, 0, :: n + 1] = n ** -0.5
+    right = mats.transpose(0, 2, 1, 3).reshape(count, n, k * n)  # x @ right[i]: every x @ g
+    ranks = np.zeros(count, dtype=int)
+    # (basis count, product count) -> parts (indices, bases, products, scales, rights)
+    groups = {(1, k): [(np.arange(count), basis, mats.reshape(count, k, n * n),
+                        np.full(count, np.sqrt(n)), right)]}
+    while groups:
+        parts_by_shape, groups = groups, {}
+        for parts in parts_by_shape.values():
+            idx, basis, products, scale, right = (
+                parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts)))
+            scale = np.fmax(scale, np.sqrt((np.abs(products) ** 2).sum(axis=2).max(axis=1)))
+            outside = products - (products @ basis.conj().transpose(0, 2, 1)) @ basis
+            _, sv, vh = np.linalg.svd(outside, full_matrices=False)
+            # singular values fall, so the kept ones are a prefix of each row
+            kept = (sv > tol * scale[:, None]).sum(axis=1)
+            counts = set(kept.tolist())
+            for r in sorted(counts):
+                sel = kept == r if len(counts) > 1 else slice(None)  # no copies unless it splits
+                grown = np.concatenate([basis[sel], vh[sel, :r]], axis=1)
+                if r == 0 or grown.shape[1] >= n * n:
+                    ranks[idx[sel]] = grown.shape[1]
+                    continue
+                new = (sv[sel, :r, None] * vh[sel, :r]).reshape(-1, r * n, n)
+                products = (new @ right[sel]).reshape(-1, r, n, k, n).transpose(0, 1, 3, 2, 4)
+                groups.setdefault((grown.shape[1], r * k), []).append(
+                    (idx[sel], grown, products.reshape(-1, r * k, n * n), scale[sel], right[sel]))
+    return ranks
 
 
-def is_irreducible_burnside(rep: Rep, tol: float = DEFAULT_RTOL) -> bool:
-    """True iff the words in the images span all of n x n (Burnside)."""
-    if rep.n == 1:
-        return True
-    mats = list(rep.images.values())
-    return _word_span_rank(mats, rep.n, tol) == rep.n * rep.n
+def is_irreducible_burnside(rep, tol: float = DEFAULT_RTOL):
+    """True iff the words in the images span all of n x n (Burnside); a stack
+    of images (count, k, n, n) gives a boolean array (count,) of verdicts."""
+    stack = _image_stack(rep)[None] if isinstance(rep, Rep) else _image_stack(rep)
+    n = stack.shape[-1]
+    verdicts = np.full(len(stack), True) if n == 1 else _word_span_ranks(stack, tol) == n * n
+    return bool(verdicts[0]) if isinstance(rep, Rep) else verdicts
 
 
 def _is_invariant_line(v, mats, tol):
@@ -151,7 +167,7 @@ def _is_invariant_line(v, mats, tol):
     return True
 
 
-def central_values(pres: Presentation, words, rep: Rep, tol: float) -> list:
+def central_values(pres: Presentation, words, rep, tol: float):
     """Scalar values tr(w)/n of central elements ``words`` on a solution rep.
 
     The representation must satisfy the relations of ``pres`` to within
@@ -160,23 +176,34 @@ def central_values(pres: Presentation, words, rep: Rep, tol: float) -> list:
     is raised.  The test runs for every n and on reducible representations
     too, where a direct sum of points with different characters has a
     non-scalar centre and no central character.
+
+    A stack of images (count, k, n, n) in the order of ``pres.generators``
+    gives the values (count, len(words)) and the mask (count,) of the
+    representations that pass both tests, and raises nothing.
     """
-    res = relation_residual(pres, rep)
-    if res > tol:
-        raise ValueError(f"not a solution representation (residual {res:.3e})")
-    mats = rep.matrices(pres.generators)
-    values = []
-    for word in words:
-        m = eval_ncpoly(word, mats)
-        value = np.trace(m) / rep.n
-        deviation = np.linalg.norm(m - value * np.eye(rep.n))
-        bound = tol * (1.0 + np.linalg.norm(m))
-        if deviation > bound:
+    stack = _image_stack(rep, pres.generators)
+    stack = stack[None] if isinstance(rep, Rep) else stack
+    n = stack.shape[-1]
+    per_gen = [stack[:, g] for g in range(stack.shape[1])]
+    images = np.stack([eval_ncpoly(word, per_gen) for word in words], axis=1)
+    values = np.trace(images, axis1=-2, axis2=-1) / n
+    # a stacked norm can differ from one matrix's norm in the last bit, so
+    # these decide the tests, and a message quotes one matrix's norms
+    deviation = np.linalg.norm(images - values[..., None, None] * np.eye(n), axis=(-2, -1))
+    scalar = ~(deviation > tol * (1.0 + np.linalg.norm(images, axis=(-2, -1))))
+    res = relation_residual(pres, stack)
+    if not isinstance(rep, Rep):
+        return values, scalar.all(axis=1) & ~(res > tol)
+    if res[0] > tol:
+        raise ValueError(f"not a solution representation (residual {res[0]:.3e})")
+    for value, m, ok in zip(values[0], images[0], scalar[0]):
+        if not ok:
+            deviation = np.linalg.norm(m - value * np.eye(n))
+            bound = tol * (1.0 + np.linalg.norm(m))
             raise ValueError(
                 f"central element is not scalar: deviation {deviation:.3e} > {bound:.3e}"
             )
-        values.append(value)
-    return values
+    return list(values[0])
 
 
 def find_invariant_line(rep: Rep, tol: float = DEFAULT_RTOL):
@@ -566,17 +593,29 @@ def _matrix_from_json(rows, n, field):
     return np.array(values, dtype=complex)
 
 
+def _matrix_to_json(m):
+    """A complex array with each entry as the ``[re, im]`` pair of ``_complex_to_pair``."""
+    return np.ascontiguousarray(m, dtype=complex)[..., None].view(float).tolist()
+
+
+def _reps_to_json(reps):
+    """``rep_to_json`` of each representation of a list that shares one
+    dimension and generator list, every matrix from one ``tolist``."""
+    if not reps:
+        return []
+    gens = list(reps[0].images)
+    mats = _matrix_to_json(np.array([rep.matrices(gens) for rep in reps]))
+    return [{
+        "n": rep.n,
+        "generators": list(gens),
+        "params": {k: _complex_to_pair(v) for k, v in rep.env.items()},
+        "matrices": dict(zip(gens, m)),
+    } for rep, m in zip(reps, mats)]
+
+
 def rep_to_json(rep: Rep) -> dict:
     """Rep JSON schema shared with the CLI."""
-    return {
-        "n": rep.n,
-        "generators": list(rep.images),
-        "params": {k: _complex_to_pair(v) for k, v in rep.env.items()},
-        "matrices": {
-            name: [[_complex_to_pair(z) for z in row] for row in m]
-            for name, m in rep.images.items()
-        },
-    }
+    return _reps_to_json([rep])[0]
 
 
 def rep_from_json(data: dict) -> Rep:

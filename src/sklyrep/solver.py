@@ -44,14 +44,16 @@ from .reptheory import (
     Rep,
     _complex_to_pair,
     _conjugates,
+    _matrix_to_json,
+    _reps_to_json,
+    central_values,
     classify,
     find_conjugator,
     fingerprint,
     is_irreducible_burnside,
     relation_residual,
-    rep_to_json,
 )
-from .skewpoly import SkewRepSpec, skew_center_point, skew_presentation, skew_rep
+from .skewpoly import _CENTER_WORDS, SkewRepSpec, skew_presentation, skew_rep
 
 __all__ = [
     "DEFAULT_SLICES",
@@ -89,6 +91,12 @@ COORD_SLICE_PROB = 0.45
 # endpoints with every image below this norm are snapped to the exact zero
 # (trivial) solution, which Newton approaches only algebraically
 ZERO_SNAP = 1e-5
+
+# a residual bounds no distance (on the skew ring 2|xy| passes CONVERGE_RESIDUAL
+# 1.7e-8 off an axis); one Newton step ||J^+ r|| estimates it, so a 1-D endpoint
+# whose step exceeds STEP_BOUND * max(1, ||u||) takes up to REFINE_STEPS more
+STEP_BOUND = 1e-9
+REFINE_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -364,13 +372,12 @@ def _sqrt_pair(z):
     return (r, -r) if abs(r) > 0 else (r,)
 
 
-def _character(task, rep):
-    """The central character of a solution: the point (u1, u2, u3, g) on
-    S(1,1,c), (u1, u2) on the skew ring.  Raises ``ValueError`` where the
-    centre is not scalar."""
-    if task.algebra == "skew":
-        return skew_center_point(rep, tol=1e-6)
-    return sklyanin.central_character(rep, tol=1e-6).point
+def _characters(task, pres, mats):
+    """The central characters of the (count, k, 2, 2) image stack ``mats``,
+    (u1, u2, u3, g) on S(1,1,c) and (u1, u2) on the skew ring, one per row,
+    and the mask of those whose centre is scalar (the others have none)."""
+    words = _CENTER_WORDS if task.algebra == "skew" else sklyanin.center_words(complex(task.c))
+    return central_values(pres, words, mats, 1e-6)
 
 
 def _candidates(task, rep, char):
@@ -471,10 +478,9 @@ def _match(task, rep, tol, char):
                 if member is None:
                     continue
                 if loose:
-                    try:
-                        if _char_gap(char, _character(task, member)) > 1e-5:
-                            continue
-                    except ValueError:
+                    pres = task.presentation()
+                    ch, ok = _characters(task, pres, np.array([member.matrices(rep.generators)]))
+                    if not ok[0] or _char_gap(char, ch[0]) > 1e-5:
                         continue
                 q = find_conjugator(rep, member, 1e-6 if loose else tol)
                 if q is None:
@@ -491,8 +497,11 @@ def _match(task, rep, tol, char):
     return None
 
 
-def _rounded_key(values):
-    return tuple(v for z in values for v in (round(z.real, 9), round(z.imag, 9)))
+def _rounded_keys(values):
+    """The sort key of each row of a complex array: its real and imaginary
+    parts, interleaved, rounded to 9 decimals by ``np.round`` (which is what
+    ``round`` does to a numpy float, ties included)."""
+    return np.round(values, 9).view(float).tolist()
 
 
 def _slices_and_starts(rng, task, n_u):
@@ -620,25 +629,24 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     kept = _kept_solutions(task, pres)
     degenerate = 0
     classes = classify([rep for rep, _ in kept], tol)
+    heads = [kept[cls.representative] for cls in classes]
+    mats = np.array([rep.matrices(pres.generators) for rep, _ in heads])
+    mats = mats.reshape(-1, len(pres.generators), 2, 2)
+    irreducible = is_irreducible_burnside(mats, tol).tolist()
+    chars, scalar = _characters(task, pres, mats)
+    keys = _rounded_keys(fingerprint(mats))
     solutions = []
-    for cls in classes:
-        rep, rr = kept[cls.representative]
-        sol = Solution(rep, rr, is_irreducible_burnside(rep, tol), multiplicity=len(cls.members))
+    for i, (cls, (rep, rr)) in enumerate(zip(classes, heads)):
+        sol = Solution(rep, rr, irreducible[i], multiplicity=len(cls.members))
         if sol.irreducible:
-            try:
-                char = _character(task, rep)
-            except ValueError:
+            if not scalar[i]:
                 degenerate += len(cls.members)
                 continue
-            match = _match(task, rep, tol, char)
+            match = _match(task, rep, tol, chars[i])
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
-        solutions.append(sol)
-    mats = np.array([s.rep.matrices(pres.generators) for s in solutions])
-    fps = fingerprint(mats.reshape(-1, len(pres.generators), 2, 2))
-    order = sorted(range(len(solutions)),
-                   key=lambda i: (_rounded_key(fps[i]), solutions[i].residual))
-    solutions = [solutions[i] for i in order]
+        solutions.append((keys[i], rr, sol))
+    solutions = [sol for *_, sol in sorted(solutions, key=lambda entry: entry[:2])]
 
     stats = {
         "starts": int(task.num_starts),
@@ -653,7 +661,8 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     """Scalar (1-dimensional) solutions of the presentation via Newton sweeps.
 
     All starts run through one batched Gauss-Newton solve.  Endpoints with
-    every value below ``ZERO_SNAP`` are snapped to the exact zero, and all
+    every value below ``ZERO_SNAP`` are snapped to the exact zero; the others
+    take full Newton steps while their step is long (``STEP_BOUND``).  All
     endpoints are certified by one stacked ``relation_residual``.  Certified
     endpoints are deduplicated in start order: an endpoint is kept unless it
     lies within 1e-4 of a root kept before it.
@@ -666,13 +675,23 @@ def one_dim_solutions(pres: Presentation, num_starts: int = 200, seed: int = 0):
     starts = _disk_samples(rng, (num_starts, system.n_unknowns))
     ends, _, _ = _gauss_newton_batch(system, starts)
     ends[np.max(np.abs(ends), axis=1) <= ZERO_SNAP] = 0.0
+    for _ in range(REFINE_STEPS):
+        rows = np.flatnonzero(np.max(np.abs(ends), axis=1) > ZERO_SNAP)
+        if not rows.size:
+            break
+        step = _lstsq_steps(system.jacobians(ends[rows]), -system.residuals(ends[rows]))
+        scale = np.maximum(1.0, np.linalg.norm(ends[rows], axis=1))
+        far = np.linalg.norm(step, axis=1) > STEP_BOUND * scale
+        if not far.any():
+            break
+        ends[rows[far]] += step[far]
     pending = ends[relation_residual(pres, _images_at(images, ends)) <= KEEP_RESIDUAL]
     roots = []
     while len(pending):
         roots.append(pending[0])
         pending = pending[np.linalg.norm(pending - pending[0], axis=1) > 1e-4]
-    roots.sort(key=_rounded_key)
-    return [tuple(map(complex, u)) for u in roots]
+    keys = _rounded_keys(np.array(roots).reshape(-1, system.n_unknowns))
+    return [tuple(roots[i].tolist()) for i in sorted(range(len(roots)), key=keys.__getitem__)]
 
 
 def report_to_json(report: SolveReport) -> dict:
@@ -689,9 +708,10 @@ def report_to_json(report: SolveReport) -> dict:
         "stats": dict(report.stats),
         "solutions": [],
     }
-    for sol in report.solutions:
+    reps = _reps_to_json([sol.rep for sol in report.solutions])
+    for sol, rep in zip(report.solutions, reps):
         entry = {
-            "rep": rep_to_json(sol.rep),
+            "rep": rep,
             "residual": sol.residual,
             "irreducible": bool(sol.irreducible),
             "multiplicity": int(sol.multiplicity),
@@ -703,9 +723,7 @@ def report_to_json(report: SolveReport) -> dict:
                 else None
             ),
             "conjugator": (
-                [[_complex_to_pair(z) for z in row] for row in sol.conjugator]
-                if sol.conjugator is not None
-                else None
+                _matrix_to_json(sol.conjugator) if sol.conjugator is not None else None
             ),
         }
         out["solutions"].append(entry)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import sklyrep
+from sklyrep.freealg import eval_ncpoly
+from sklyrep.reptheory import relation_residual
 from sklyrep.sklyanin import ConstraintError, DenominatorError, FAMILIES, family
 
 C_MARGIN = 0.05
@@ -57,6 +59,59 @@ def random_conjugator(rng, n=2, min_det=0.1):
         q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if abs(np.linalg.det(q)) / np.linalg.norm(q) ** n > min_det / n:
             return q
+
+
+# per-representation references for the stacked calls of reptheory and solver
+
+
+def span_rank_reference(mats, n, tol):
+    """Span closure of one representation in 2-D arithmetic: the reference
+    that ``reptheory._word_span_ranks`` must equal on every stack."""
+    gens = np.array(mats, dtype=complex).reshape(-1, n, n)
+    right = gens.transpose(1, 0, 2).reshape(n, -1)
+    basis = np.zeros((1, n * n), dtype=complex)
+    basis[0, :: n + 1] = n ** -0.5
+    products = gens.reshape(-1, n * n)
+    scale = np.sqrt(n)
+    while len(products):
+        scale = max(scale, np.sqrt(np.max(np.sum(np.abs(products) ** 2, axis=1))))
+        outside = products - (products @ basis.conj().T) @ basis
+        _, sv, vh = np.linalg.svd(outside, full_matrices=False)
+        kept = sv > tol * scale
+        basis = np.concatenate([basis, vh[kept]])
+        if len(basis) >= n * n:
+            break
+        new = (sv[kept, None] * vh[kept]).reshape(-1, n)
+        products = (new @ right).reshape(-1, n, len(gens), n).transpose(0, 2, 1, 3)
+        products = products.reshape(-1, n * n)
+    return len(basis)
+
+
+def central_values_reference(pres, words, rep, tol):
+    """Central values of one representation, matrix by matrix: the reference
+    for ``reptheory.central_values`` on a Rep and on a stack."""
+    res = relation_residual(pres, rep)
+    if res > tol:
+        raise ValueError(f"not a solution representation (residual {res:.3e})")
+    mats = rep.matrices(pres.generators)
+    values = []
+    for word in words:
+        m = eval_ncpoly(word, mats)
+        value = np.trace(m) / rep.n
+        deviation = np.linalg.norm(m - value * np.eye(rep.n))
+        bound = tol * (1.0 + np.linalg.norm(m))
+        if deviation > bound:
+            raise ValueError(
+                f"central element is not scalar: deviation {deviation:.3e} > {bound:.3e}"
+            )
+        values.append(value)
+    return values
+
+
+def rounded_key_reference(values):
+    """The ordering key of one row, element by element: the reference for
+    ``solver._rounded_keys``."""
+    return tuple(v for z in values for v in (round(z.real, 9), round(z.imag, 9)))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -9,7 +10,11 @@ from sklyrep.reptheory import (
     FINGERPRINT_RTOL,
     EquivClass,
     Rep,
+    _complex_to_pair,
+    _reps_to_json,
     _sylvester_system,
+    _word_span_ranks,
+    central_values,
     classify,
     conjugate_rep,
     find_conjugator,
@@ -20,11 +25,17 @@ from sklyrep.reptheory import (
     rep_from_json,
     rep_to_json,
 )
-from sklyrep.sklyanin import family, s11c_presentation
-from sklyrep.skewpoly import SkewRepSpec, skew_presentation, skew_rep
+from sklyrep.sklyanin import FAMILIES, center_words, family, s11c_presentation
+from sklyrep.skewpoly import _CENTER_WORDS, SkewRepSpec, skew_presentation, skew_rep
 from sklyrep.solver import SolveTask, _kept_solutions
 
-from conftest import random_conjugator, random_valid_c, sample_family
+from conftest import (
+    central_values_reference,
+    random_conjugator,
+    random_valid_c,
+    sample_family,
+    span_rank_reference,
+)
 
 
 def trivial_rep(c=2.0):
@@ -437,3 +448,113 @@ def test_burnside_and_invariant_line_agree_on_mixed_samples(rng):
                 random_conjugator(rng),
             )
         assert is_irreducible_burnside(rep) == (find_invariant_line(rep) is None)
+
+
+def _burnside_cases(rng):
+    """(count, k, n, n) stacks: solver endpoints, family members, v (x) N,
+    direct sums, near-reducible and all-scalar images."""
+    stacks = []
+    for algebra, kind, c in (("sklyanin", "one_block", 5.0), ("sklyanin", "two_blocks", 0.05),
+                             ("skew", "two_blocks", None)):
+        task = SolveTask(algebra, kind, c=c, num_starts=40, seed=11)
+        reps = [rep for rep, _ in _kept_solutions(task, task.presentation())]
+        stacks.append(np.array([r.matrices(r.generators) for r in reps]))
+    members = [sample_family(fid, rng) for fid in FAMILIES for _ in range(3)]
+    n_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    tensors = [np.multiply.outer(rng.standard_normal(3) * 10.0 ** rng.integers(-8, 8), n_mat)
+               for _ in range(10)]
+    sums = [np.array([np.diag(rng.standard_normal(2) * s) for _ in range(3)])
+            for s in (1.0, 1e-6, 0.0)]
+    scalars = [np.array([a * np.eye(2) for a in rng.standard_normal(3)]) for _ in range(3)]
+    near = [np.array([e * np.array([[0, 1], [0, 0]]), e * np.array([[0, 0], [1, 0]]), np.eye(2)])
+            for e in (1e-4, 1.4e-4, 2e-4)]
+    mixed = [r.matrices(r.generators) for r in members] + tensors + sums + scalars + near
+    order = rng.permutation(len(mixed))
+    stacks.append(np.array([mixed[i] for i in order], dtype=complex))
+    blocks = []
+    for _ in range(8):  # 4x4 direct sums of two members, conjugated or not
+        a, b = (sample_family(("t3f2", "t4f1")[int(rng.integers(2))], rng, c=5.0) for _ in "ab")
+        m = np.zeros((3, 4, 4), dtype=complex)
+        m[:, :2, :2], m[:, 2:, 2:] = a.matrices("xyz"), b.matrices("xyz")
+        if rng.integers(2):
+            q = random_conjugator(rng, 4)
+            m = q @ m @ np.linalg.inv(q)
+        blocks.append(m)
+    stacks.append(np.array(blocks))
+    return stacks
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_stacked_burnside_equals_the_per_rep_span_closure(rng, tol):
+    for stack in _burnside_cases(rng):
+        n = stack.shape[-1]
+        reference = [span_rank_reference(m, n, tol) for m in stack]
+        assert _word_span_ranks(stack, tol).tolist() == reference
+        verdicts = is_irreducible_burnside(stack, tol)
+        assert verdicts.tolist() == [r == n * n for r in reference]
+        assert [is_irreducible_burnside(Rep(n, dict(zip("xyz", m))), tol) for m in stack] \
+            == verdicts.tolist()
+    assert is_irreducible_burnside(np.zeros((0, 3, 2, 2))).shape == (0,)
+
+
+def _outcome(fn, *args):
+    try:
+        return np.array(fn(*args)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_stacked_central_values_equal_the_per_rep_values(rng):
+    # S(1,1,c) at one c: members of every family, v (x) N, a stray non-solution,
+    # and in 3 dimensions t3f2 (+) trivial, whose centre is not scalar
+    c = 2.0
+    pres, words = s11c_presentation(c), center_words(c)
+    reps = [sample_family(fid, rng, c=c) for fid in FAMILIES for _ in range(4)]
+    reps += [conjugate_rep(r, random_conjugator(rng)) for r in reps[::3]]
+    n_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    reps += [Rep(2, {g: v * n_mat for g, v in zip("xyz", rng.standard_normal(3))}, {"c": c})]
+    reps += [Rep(2, {g: rng.standard_normal((2, 2)) for g in "xyz"}, {"c": c})]
+    member = family("t3f2", {"c": c, "z4": 0.7})
+    padded = {g: np.pad(m, ((0, 1), (0, 1))) for g, m in member.images.items()}
+    upper = {g: v * np.eye(3, k=2) for g, v in zip("xyz", rng.standard_normal(3))}
+    cases = [(pres, words, reps, 1e-7),
+             (pres, words, [Rep(3, padded, {"c": c}), Rep(3, upper, {"c": c})], 1e-7)]
+    skew = [skew_rep(SkewRepSpec("two_dim", *rng.standard_normal(2))) for _ in range(6)]
+    skew += [Rep(2, {"x": np.diag([1.0, 2.0]), "y": np.zeros((2, 2))})]  # non-scalar x^2
+    # a non-scalar x^2 whose deviation, 1.2345e-3, reads 1.235e-03 by one
+    # matrix's norm and 1.234e-03 by a stacked norm (x86-64, OpenBLAS 0.3.31)
+    p, q = (complex(float.fromhex(a), float.fromhex(b)) for a, b in (
+        ("-0x1.58b2a0634c99dp-6", "-0x1.1ca0a826c627dp-5"),
+        ("-0x1.ab047d0f322c3p-8", "0x1.6971967a4b0c6p-7")))
+    skew += [Rep(2, {"x": np.diag([p, q]), "y": np.zeros((2, 2))})]
+    cases.append((skew_presentation(), _CENTER_WORDS, skew, 1e-6))
+    # three copies of one point of the x-axis, conjugated: tr(x^2) / 3 rounds
+    triple = []
+    for a in rng.standard_normal(20) + 1j * rng.standard_normal(20):
+        q = random_conjugator(rng, 3)
+        triple.append(Rep(3, {"x": q @ (a * np.eye(3)) @ np.linalg.inv(q), "y": np.zeros((3, 3))}))
+    cases.append((skew_presentation(), _CENTER_WORDS, triple, 1e-6))
+    messages = []
+    for pres, words, reps, tol in cases:
+        reference = [_outcome(central_values_reference, pres, words, r, tol) for r in reps]
+        assert [_outcome(central_values, pres, words, r, tol) for r in reps] == reference
+        values, ok = central_values(pres, words, np.array([r.matrices(pres.generators)
+                                                            for r in reps]), tol)
+        assert ok.tolist() == [isinstance(ref, bytes) for ref in reference]
+        assert [v.tobytes() for v, k in zip(values, ok) if k] == \
+            [ref for ref in reference if isinstance(ref, bytes)]
+        messages += [ref for ref in reference if isinstance(ref, str)]
+    assert [m.split(" (")[0].split(":")[0] for m in messages] == [
+        "not a solution representation"] + ["central element is not scalar"] * 3
+
+
+def test_report_rows_equal_the_per_entry_codec(rng):
+    reps = [sample_family("t4f4", rng) for _ in range(3)]
+    reps.append(Rep(2, {g: np.array([[-0.0, np.nan], [np.inf, 1e-300j]]) for g in "xyz"},
+                    {"c": 2.0}))
+    rows = _reps_to_json(reps)
+    assert json.dumps([rep_to_json(r) for r in reps]) == json.dumps(rows)
+    for rep, row in zip(reps, rows):
+        expected = {name: [[_complex_to_pair(z) for z in r] for r in m]
+                    for name, m in rep.images.items()}
+        assert json.dumps(row["matrices"]) == json.dumps(expected)

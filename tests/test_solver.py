@@ -3,32 +3,49 @@ import json
 import numpy as np
 import pytest
 
+from sklyrep import solver
 from sklyrep.freealg import eval_ncpoly, parse_ncpoly
 from sklyrep.matkit import DEFAULT_RTOL
-from sklyrep.reptheory import Presentation, _conjugates, relation_residual
-from sklyrep.sklyanin import family, s11c_presentation
-from sklyrep.skewpoly import skew_presentation
+from sklyrep.reptheory import (
+    Presentation,
+    Rep,
+    _conjugates,
+    classify,
+    fingerprint,
+    relation_residual,
+)
+from sklyrep.sklyanin import center_words, family, s11c_presentation
+from sklyrep.skewpoly import _CENTER_WORDS, skew_presentation
 from sklyrep.solver import (
     CONVERGE_RESIDUAL,
     DEFAULT_SLICES,
     MAX_STEPS,
+    Solution,
+    SolveReport,
     SolveTask,
     _QuadSystem,
     _build_system,
     _disk_samples,
     _gauss_newton_batch,
     _images_at,
+    _kept_solutions,
     _lstsq_steps,
-    _character,
+    _characters,
     _match,
     _pinned_polish,
+    _rounded_keys,
     _slice_charts,
     one_dim_solutions,
     report_to_json,
     solve_reps,
 )
 
-from conftest import random_valid_c
+from conftest import (
+    central_values_reference,
+    random_valid_c,
+    rounded_key_reference,
+    span_rank_reference,
+)
 
 
 def test_default_slice_counts():
@@ -81,6 +98,13 @@ def test_skew_solver_closure():
     irr = [s for s in report.solutions if s.irreducible]
     assert irr
     assert all(s.matched_family == "psi" and s.branch is None for s in irr)
+
+
+def _character(task, rep):
+    pres = task.presentation()
+    chars, scalar = _characters(task, pres, np.array([rep.matrices(pres.generators)]))
+    assert scalar[0]
+    return chars[0]
 
 
 def test_near_apex_two_blocks_class_matches_by_a_strict_conjugator():
@@ -348,6 +372,76 @@ def test_one_dim_skew_coordinate_lines():
     assert roots
     for x, y in roots:
         assert abs(x) <= 1e-7 or abs(y) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [537474920, 1384090333, 783426226])
+def test_one_dim_skew_roots_lie_on_the_axes(seed):
+    # each of these sweeps once ended at a point whose residual 2|xy| passed
+    # CONVERGE_RESIDUAL at 1.7e-8 or more from the nearest axis
+    roots = one_dim_solutions(skew_presentation(), 200, seed)
+    assert len(roots) == 200
+    assert all(min(abs(x), abs(y)) <= 1e-8 for x, y in roots)
+
+
+def test_rounded_keys_equal_the_per_row_keys_at_rounding_ties(rng):
+    # numpy rounds x * 1e9 half to even, so 0.1234567895 (stored just below
+    # the tie) rounds up, where round() of the Python float rounds it down
+    ties = [0.1234567895, -0.1234567895, 1.0000000005, 2.5e-9, 5e-10, 1.5e-9, -0.0, 3e7 + 1e-9]
+    values = np.array([ties[:4], ties[4:]]) + 1j * np.array([ties[4:], ties[:4]])
+    noise = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    values = np.concatenate([values, noise * 10.0 ** rng.integers(-12, 8, (50, 1))])
+    keys = _rounded_keys(values)
+    reference = [rounded_key_reference(row) for row in values]
+    assert np.array(keys).tobytes() == np.array(reference).tobytes()
+    assert keys[0][0] == 0.12345679 != round(0.1234567895, 9)
+
+
+def test_one_dim_roots_follow_the_rounded_keys():
+    roots = one_dim_solutions(skew_presentation(), num_starts=60, seed=3)
+    keys = [rounded_key_reference(np.array(r)) for r in roots]
+    assert len(roots) == 60 and keys == sorted(keys)
+
+
+@pytest.mark.parametrize("algebra, kind, c", [
+    ("sklyanin", "one_block", 5.0), ("sklyanin", "two_blocks", 0.05), ("skew", "two_blocks", None)])
+def test_stacked_certification_reports_equal_the_per_class_loop(algebra, kind, c):
+    # the loop over classes that the stacked calls replaced, with the
+    # per-representation references: the report must match byte for byte
+    task = SolveTask(algebra, kind, c=c, num_starts=60, seed=7)
+    pres = task.presentation()
+    words = _CENTER_WORDS if algebra == "skew" else center_words(complex(c))
+    kept = _kept_solutions(task, pres)
+    solutions = []
+    for cls in classify([rep for rep, _ in kept]):
+        rep, rr = kept[cls.representative]
+        irreducible = span_rank_reference(rep.matrices(pres.generators), 2, DEFAULT_RTOL) == 4
+        sol = Solution(rep, rr, irreducible, multiplicity=len(cls.members))
+        if irreducible:
+            char = np.array(central_values_reference(pres, words, rep, 1e-6))
+            match = _match(task, rep, DEFAULT_RTOL, char)
+            if match is not None:
+                sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
+        solutions.append(sol)
+    fps = fingerprint(np.array([s.rep.matrices(pres.generators) for s in solutions]))
+    order = sorted(range(len(solutions)),
+                   key=lambda i: (rounded_key_reference(fps[i]), solutions[i].residual))
+    stats = {"starts": 60, "converged": len(kept), "deduped": len(order), "degenerate": 0}
+    reference = SolveReport(task, [solutions[i] for i in order], stats)
+    assert any(s.matched_family for s in reference.solutions)
+    assert json.dumps(report_to_json(solve_reps(task))) == json.dumps(report_to_json(reference))
+
+
+def test_solve_counts_a_class_without_central_character_as_degenerate(monkeypatch):
+    # a Burnside-irreducible class that fails the centre's tests (here: it is
+    # no solution) has no character; it is counted, not reported
+    rng = np.random.default_rng(3)
+    member = family("t3f2", {"c": 5.0, "z4": 0.7})
+    stray = Rep(2, {g: rng.standard_normal((2, 2)) for g in "xyz"}, {"c": 5.0 + 0j})
+    monkeypatch.setattr(solver, "_kept_solutions",
+                        lambda task, pres: [(member, 0.0), (stray, 0.0), (stray, 0.0)])
+    report = solve_reps(SolveTask("sklyanin", "one_block", c=5.0))
+    assert report.stats["degenerate"] == 2
+    assert [s.matched_family for s in report.solutions] == ["t3f2"]
 
 
 def test_report_json_shape():

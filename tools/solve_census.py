@@ -3,6 +3,7 @@ output's digest.
 
     python3 tools/solve_census.py --seeds 1-10 --rounds 4
     python3 tools/solve_census.py --workload newton-1d --seeds 1-30 --rounds 10
+    python3 tools/solve_census.py --workload newton-1d --only skew --seeds 1-30 --rounds 1500
 
 The rounds come from ``bench/workloads.solve_sweep_round`` (the default) or
 ``bench/workloads.newton_1d_round`` as ``bench/run.py`` draws them (one
@@ -10,7 +11,9 @@ generator per seed, rounds in order from 0).  Each line gives seed, round,
 task label, the sha256 digest of the task's output (a solve report or a
 1-dimensional root set) and the attempted and failed operation counts of the
 benchmark's check; the last line the totals.  Two checkouts are compared by
-diffing this output.
+diffing this output.  With ``--only TEXT`` only the tasks whose label
+contains TEXT run and are checked; the generator still draws every task, so
+each task keeps the seed it has in the full replay.
 """
 
 import os
@@ -44,12 +47,16 @@ def main():
     parser.add_argument("--rounds", type=int, default=4, help="rounds per seed (default 4)")
     parser.add_argument("--workload", choices=sorted(ROUNDS), default="solve-sweep",
                         help="benchmark workload to replay (default solve-sweep)")
+    parser.add_argument("--only", default="", metavar="TEXT",
+                        help="run only the tasks whose label contains TEXT")
     args = parser.parse_args()
     attempted = failed = 0
     for seed in args.seeds:
         rng = np.random.default_rng(seed)
         for rnd in range(args.rounds):
             for task in ROUNDS[args.workload](rng, None):
+                if args.only not in task.label:
+                    continue
                 output = task.run()
                 outcome = task.check(output)
                 attempted += outcome.attempted
