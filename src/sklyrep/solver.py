@@ -19,16 +19,17 @@ solution's own gauge.
 Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
 sweep (``one_dim_solutions``), runs all of its starts at once through
 ``_gauss_newton_batch``: batched residuals and Jacobians on an ``(S, n)``
-stack of starts, least-squares steps by the ``lstsq(rcond=None)`` rule
-(``_lstsq_steps``), and exact step-length scoring.  A square Jacobian that
-carries a conditioning certificate gets its step from one batched LU
-solve; every other row takes the SVD pseudo-inverse.  A slice is not an
-extra equation: each start runs in its own affine chart ``u = P + N z`` of
-its slice (``_slice_charts``), the chart of a witness set in numerical
-algebraic geometry (Sommese and Wampler, *The Numerical Solution of Systems
-of Polynomials*, 2005, ch. 13).  The slice equations then hold exactly at
-every iterate and the Jacobians shrink to ``J N``.  Pinning tiny unknowns
-to zero uses the same kernel, in the chart spanned by the unpinned axes.
+stack of starts, Gauss-Newton steps (``_lstsq_steps``), and exact
+step-length scoring.  The tall Jacobians of the 2-dimensional phases take
+the damped normal-equation step and certified square ones the LU step,
+each one batched solve; every other row takes the ``lstsq(rcond=None)``
+step from its SVD.  A slice is not an extra equation: each start runs in
+its own affine chart ``u = P + N z`` of its slice (``_slice_charts``), the
+chart of a witness set in numerical algebraic geometry (Sommese and
+Wampler, *The Numerical Solution of Systems of Polynomials*, 2005, ch. 13).
+The slice equations then hold exactly at every iterate and the Jacobians
+shrink to ``J N``.  Pinning tiny unknowns to zero uses the same kernel, in
+the chart spanned by the unpinned axes.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ SOLVE_CERTIFICATE = 1e-8
 
 # the batched Newton kernel forms Jacobians and steps, and scores halved
 # steps, in blocks of rows whose stack of (k, n) Jacobians or (29, k) scores
-# stays within this many bytes (the SVD's factors are as large again): one
-# block for all 200 starts of a 2-D solve raised a solve-sweep peak by 1 MB
+# stays within this many bytes (J^H of the normal equations is as large
+# again): one block for all 200 starts of a 2-D solve raised a solve-sweep
+# peak by 1 MB
 JACOBIAN_BLOCK_BYTES = 2 ** 17
 
 # probability that one slice is a coordinate-vanishing functional e_j . u = 0;
@@ -260,16 +262,29 @@ def _images_at(images, U):
 
 
 def _lstsq_steps(jac, rhs):
-    """Least-squares solutions of ``jac[s] @ x = rhs[s]`` for each row s of the
-    (S, k, n) stack ``jac``, by the ``np.linalg.lstsq(rcond=None)`` rule.
+    """Newton steps ``x`` with ``jac[s] @ x ~ rhs[s]`` for each row s of the
+    (S, k, n) stack ``jac``.
 
-    Rows with a square Jacobian that passes the ``SOLVE_CERTIFICATE`` test
-    take one batched ``np.linalg.solve``.  Every other row (non-square,
-    singular, ill-conditioned, or not finite) takes the pseudo-inverse step
-    from its SVD, dropping the singular values at or below
-    ``max(k, n) * eps * sigma_max``: the ``lstsq(rcond=None)`` cut-off.
+    A tall stack (k > n) solves the damped normal equations
+    ``(J^H J + mu I) x = J^H b``, ``mu = n * eps * ||J||_F^2`` (1 where J = 0),
+    in one batched ``np.linalg.solve`` (Marquardt, SIAM J. Appl. Math. 11,
+    1963; it converges on non-isolated solutions too: Yamashita and
+    Fukushima, Computing Suppl. 15, 2001).  This is the least-squares step
+    to rounding where J is well conditioned; directions with singular value
+    below about ``sqrt(n * eps) * ||J||_F`` are damped, not inverted.
+    Square rows that pass the ``SOLVE_CERTIFICATE`` test take one batched LU
+    solve; every other row the ``np.linalg.lstsq(rcond=None)`` step from its
+    SVD, which drops singular values at or below ``max(k, n) eps sigma_max``.
     """
     S, k, n = jac.shape
+    if k > n:
+        jh = jac.conj().transpose(0, 2, 1)
+        # a non-finite or overflowing row gets a NaN step, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = jh @ jac
+            mu = n * np.finfo(float).eps * np.trace(gram, axis1=1, axis2=2).real
+            gram[:, range(n), range(n)] += np.where(mu > 0.0, mu, 1.0)[:, None]
+            return np.linalg.solve(gram, jh @ rhs[..., None])[..., 0]
     steps = np.empty((S, n), dtype=complex)
     certified = np.zeros(S, dtype=bool)
     if k == n:
@@ -296,7 +311,7 @@ def _lstsq_steps(jac, rhs):
 def _gauss_newton_batch(system, U0, chart=None):
     """Damped Gauss-Newton on every row of the (S, n) stack U0 at once.
 
-    Each row takes a least-squares step d (``_lstsq_steps``).  Where the
+    Each row takes a Gauss-Newton step d (``_lstsq_steps``).  Where the
     full step does not improve a row, the exact quadratic
     ``r(u + t d) = r(u) + t J(u) d + t^2 d^T T d`` scores ``t = 2^-h``,
     h = 1..29, in one array operation, and the row is evaluated again at

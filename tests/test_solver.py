@@ -346,8 +346,7 @@ def test_lstsq_steps_follow_the_lstsq_rule(monkeypatch):
         np.zeros((3, 3)),
     ])
     fallback = np.array([False, False, True, True, False, True])
-    stacks = [square, cplx(4, 1, 2), cplx(4, 3, 2)]  # the skew ring's 1x2, and 3x2
-    stacks[2][0, :, 1] = 2.0 * stacks[2][0, :, 0]  # a rank-deficient non-square row
+    stacks = [square, cplx(4, 1, 2)]  # and the skew ring's 1x2
 
     routed = []
     svd = np.linalg.svd
@@ -364,7 +363,53 @@ def test_lstsq_steps_follow_the_lstsq_rule(monkeypatch):
             ref = np.linalg.lstsq(j, b, rcond=None)[0]
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.array_equal(routed[0], square[fallback])
-    assert [r.shape for r in routed[1:]] == [(4, 1, 2), (4, 3, 2)]
+    assert [r.shape for r in routed[1:]] == [(4, 1, 2)]
+
+
+def test_lstsq_steps_damp_tall_rows(monkeypatch):
+    # tall rows take the damped normal-equation step, mu = n eps ||J||_F^2
+    rng = np.random.default_rng(43)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def with_singular_values(k, sv):
+        n = len(sv)
+        return _random_unitary(rng, k)[:, :n] @ np.diag(sv) @ _random_unitary(rng, n).conj().T
+
+    routed = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        routed.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    well = np.array([cplx(12, 7), cplx(12, 7), with_singular_values(12, np.linspace(1.0, 10.0, 7)),
+                     with_singular_values(12, [4.0, 3.0, 2.0, 2.0, 1.0, 1.0, 0.5])])
+    rhs = cplx(4, 12)
+    for j, b, x in zip(well, rhs, _lstsq_steps(well, rhs)):
+        ref = np.linalg.lstsq(j, b, rcond=None)[0]
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    deficient = cplx(3, 12, 7)
+    deficient[0, :, 1] = 2.0 * deficient[0, :, 0]
+    deficient[1] = with_singular_values(12, [3.0, 2.0, 1.0, 1.0, 0.5, 0.0, 0.0])
+    deficient[2] = np.outer(cplx(12), cplx(7).conj())  # rank 1
+    rhs = cplx(3, 12)
+    for j, b, x in zip(deficient, rhs, _lstsq_steps(deficient, rhs)):
+        ref = np.linalg.lstsq(j, b, rcond=None)[0]
+        assert np.linalg.norm(j @ x - j @ ref) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(x) <= 2.0 * np.linalg.norm(ref)
+
+    odd = cplx(3, 3, 2)
+    odd[0] = 0.0
+    odd[1, 0, 0] = np.nan
+    odd[2] = 1e300  # overflows in J^H J
+    with np.errstate(all="warn"):  # warnings are errors in the suite
+        steps = _lstsq_steps(odd, cplx(3, 3))
+    assert np.array_equal(steps[0], np.zeros(2))
+    assert routed == []
 
 
 def test_one_dim_skew_coordinate_lines():

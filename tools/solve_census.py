@@ -1,20 +1,31 @@
-"""Replay the benchmark's solve-sweep or newton-1d tasks and print each
-output's digest.
+"""Replay the benchmark's solve-sweep or newton-1d tasks, or the closure
+sweep, and print each output's digest.
 
     python3 tools/solve_census.py --seeds 1-10 --rounds 4
     python3 tools/solve_census.py --workload newton-1d --seeds 1-30 --rounds 10
     python3 tools/solve_census.py --workload newton-1d --only skew --seeds 1-30 --rounds 1500
+    python3 tools/solve_census.py --workload closure
 
 The rounds come from ``bench/workloads.solve_sweep_round`` (the default) or
 ``bench/workloads.newton_1d_round`` as ``bench/run.py`` draws them (one
 generator per seed, rounds in order from 0).  Each line gives seed, round,
 task label, the sha256 digest of the task's output (a solve report or a
-1-dimensional root set) and the attempted and failed operation counts of the
-benchmark's check; the last line the totals.  Two checkouts are compared by
+1-dimensional root set), the attempted and failed operation counts of the
+benchmark's check and its problem count (outputs ``bench/run.py`` marks
+incorrect); the last line the totals.  Two checkouts are compared by
 diffing this output.  With ``--only TEXT`` only the tasks whose label
 contains TEXT run and are checked; the generator still draws every task, so
 each task keeps the seed it has in the full replay.
+
+The closure sweep solves S(1,1,c) in both Jordan shapes at 200 starts for
+each c in ``CLOSURE_C`` and each solver seed in ``--seeds`` (default 1-2;
+``--rounds`` does not apply), under the solve-sweep check: criterion 08's
+residual, nilpotent-x and allowed-family rules, with every unmatched or
+degenerate class failed.  Each line also names the allowed families the
+solve did not find; the last line adds the number of open cells (solves
+with a failure, a problem or a missing family).
 """
+
 
 import os
 
@@ -30,9 +41,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
-from workloads import newton_1d_round, solve_sweep_round  # noqa: E402
+from workloads import (  # noqa: E402
+    ALLOWED_FAMILIES,
+    SOLVE_KINDS,
+    STARTS,
+    Task,
+    _check_solve,
+    newton_1d_round,
+    solve_sweep_round,
+)
+
+from sklyrep import solver  # noqa: E402
 
 ROUNDS = {"solve-sweep": solve_sweep_round, "newton-1d": newton_1d_round}
+CLOSURE_C = (5.0, 0.5 + 1.2j, -0.7, 40.0, 0.05, 12.0, 0.2, -20.0, 1.001, -2.001)
 
 
 def seed_range(text):
@@ -40,30 +62,65 @@ def seed_range(text):
     return range(int(lo), int(hi or lo) + 1)
 
 
+def closure_tasks(seed):
+    """The closure sweep's solves at one solver seed."""
+    for c in CLOSURE_C:
+        for kind in SOLVE_KINDS:
+            spec = solver.SolveTask("sklyanin", kind, c=c, num_starts=STARTS, seed=seed)
+
+            def run(spec=spec):
+                return solver.report_to_json(solver.solve_reps(spec))
+
+            def check(payload, key=("sklyanin", kind)):
+                return _check_solve(key, payload)
+
+            yield Task(f"closure sklyanin {kind} c={c} seed={seed}", run, check, STARTS)
+
+
+def replay(args):
+    """(line prefix, task) for every task the census runs, in order."""
+    for seed in args.seeds:
+        if args.workload == "closure":
+            yield from ((f"{seed}", task) for task in closure_tasks(seed))
+            continue
+        rng = np.random.default_rng(seed)
+        for rnd in range(args.rounds):
+            yield from ((f"{seed} {rnd}", task) for task in ROUNDS[args.workload](rng, None))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
-                        help="benchmark seeds, as N or LO-HI (default 1-10)")
+    parser.add_argument("--seeds", type=seed_range, default=None,
+                        help="benchmark seeds, or solver seeds for closure, as N or LO-HI "
+                             "(default 1-10, 1-2 for closure)")
     parser.add_argument("--rounds", type=int, default=4, help="rounds per seed (default 4)")
-    parser.add_argument("--workload", choices=sorted(ROUNDS), default="solve-sweep",
-                        help="benchmark workload to replay (default solve-sweep)")
+    parser.add_argument("--workload", choices=sorted(ROUNDS) + ["closure"], default="solve-sweep",
+                        help="benchmark workload to replay, or the closure sweep "
+                             "(default solve-sweep)")
     parser.add_argument("--only", default="", metavar="TEXT",
                         help="run only the tasks whose label contains TEXT")
     args = parser.parse_args()
-    attempted = failed = 0
-    for seed in args.seeds:
-        rng = np.random.default_rng(seed)
-        for rnd in range(args.rounds):
-            for task in ROUNDS[args.workload](rng, None):
-                if args.only not in task.label:
-                    continue
-                output = task.run()
-                outcome = task.check(output)
-                attempted += outcome.attempted
-                failed += outcome.failed
-                print(f"{seed} {rnd} {task.label} {task.digest(output)} "
-                      f"attempted {outcome.attempted} failed {outcome.failed}", flush=True)
-    print(f"total attempted {attempted} failed {failed}")
+    if args.seeds is None:
+        args.seeds = seed_range("1-2" if args.workload == "closure" else "1-10")
+    attempted = failed = problems = open_cells = 0
+    for prefix, task in replay(args):
+        if args.only not in task.label:
+            continue
+        output = task.run()
+        outcome = task.check(output)
+        attempted += outcome.attempted
+        failed += outcome.failed
+        problems += len(outcome.problems)
+        line = (f"{prefix} {task.label} {task.digest(output)} attempted {outcome.attempted} "
+                f"failed {outcome.failed} problems {len(outcome.problems)}")
+        if args.workload == "closure":
+            allowed = ALLOWED_FAMILIES["sklyanin", task.label.split()[2]]
+            missing = sorted(allowed - {sol["matched_family"] for sol in output["solutions"]})
+            open_cells += bool(outcome.failed or outcome.problems or missing)
+            line += f" missing {','.join(missing) or '-'}"
+        print(line, flush=True)
+    total = f"total attempted {attempted} failed {failed} problems {problems}"
+    print(total + (f" open {open_cells}" if args.workload == "closure" else ""))
 
 
 if __name__ == "__main__":
