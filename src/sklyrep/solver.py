@@ -96,7 +96,8 @@ ZERO_SNAP = 1e-5
 
 # a residual bounds no distance (on the skew ring 2|xy| passes CONVERGE_RESIDUAL
 # 1.7e-8 off an axis); one Newton step ||J^+ r|| estimates it, so a 1-D endpoint
-# whose step exceeds STEP_BOUND * max(1, ||u||) takes up to REFINE_STEPS more
+# whose step exceeds STEP_BOUND * max(1, ||u||) takes up to REFINE_STEPS more,
+# and every 2-D endpoint up to REFINE_STEPS more while they lower its residual
 STEP_BOUND = 1e-9
 REFINE_STEPS = 5
 
@@ -308,15 +309,16 @@ def _lstsq_steps(jac, rhs):
     return steps
 
 
-def _gauss_newton_batch(system, U0, chart=None):
+def _gauss_newton_batch(system, U0, chart=None, converged=CONVERGE_RESIDUAL, max_steps=MAX_STEPS):
     """Damped Gauss-Newton on every row of the (S, n) stack U0 at once.
 
     Each row takes a Gauss-Newton step d (``_lstsq_steps``).  Where the
     full step does not improve a row, the exact quadratic
     ``r(u + t d) = r(u) + t J(u) d + t^2 d^T T d`` scores ``t = 2^-h``,
     h = 1..29, in one array operation, and the row is evaluated again at
-    the longest t predicted to improve it.  A row freezes once it converges,
-    or when no t is predicted to improve it or that evaluation does not.
+    the longest t predicted to improve it.  A row freezes once its residual
+    norm is at most ``converged``, or when no t is predicted to improve it
+    or that evaluation does not; every row stops after ``max_steps``.
     With ``chart``, an (S, n, m) stack, row s moves only in its affine chart
     ``u = U0[s] + chart[s] z``: its Jacobian is ``J(u) chart[s]`` and its
     step ``chart[s] dz``, so the linear equations that cut out the chart
@@ -339,8 +341,8 @@ def _gauss_newton_batch(system, U0, chart=None):
     ladder = 0.5 ** np.arange(1, 30)[:, None]
     score_block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * ladder.size * U.itemsize))
     live = np.ones(len(U), dtype=bool)
-    for _ in range(MAX_STEPS):
-        live &= rn > CONVERGE_RESIDUAL
+    for _ in range(max_steps):
+        live &= rn > converged
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
@@ -369,7 +371,7 @@ def _gauss_newton_batch(system, U0, chart=None):
         done = rows[better]
         U[done], R[done], rn[done] = U_try[better], R_try[better], rn_try[better]
         live[rows[~better]] = False
-    return U, rn, rn <= CONVERGE_RESIDUAL
+    return U, rn, rn <= converged
 
 
 def _disk_samples(rng, shape, radius=2.0):
@@ -602,8 +604,12 @@ def _kept_solutions(task, pres):
     solves the relations.  Newton approaches a singular point of the
     stratum only linearly and stops within about 1e-5 of it, so a stratum
     point can have tiny unknowns of its own: the pinning repeats until no
-    replacement is left with one (at most once per unknown).  Every
-    endpoint is certified by one stacked ``relation_residual``.
+    replacement is left with one (at most once per unknown).  A residual
+    of ``CONVERGE_RESIDUAL`` leaves a class near the reducible stratum too
+    far off for its conjugator to pass ``tol`` (``_match``), so every
+    endpoint then takes up to ``REFINE_STEPS`` more steps, while they lower
+    its residual, in the chart of its nonzero unknowns: exact zeros stay
+    zero.  Every endpoint is certified by one stacked ``relation_residual``.
     """
     gens = pres.generators
     images, base = _build_system(pres, task.jordan_kind, 2)
@@ -622,6 +628,8 @@ def _kept_solutions(task, pres):
             break
         U[todo] = pinned[solves]
     U[np.max(np.abs(U), axis=1) <= ZERO_SNAP] = 0.0
+    U, _, _ = _gauss_newton_batch(base, U, chart=np.eye(U.shape[1]) * (U != 0)[:, None, :],
+                                  converged=0.0, max_steps=REFINE_STEPS)
     mats = _images_at(images, U)
     residuals = relation_residual(pres, mats)
     return [(Rep(2, dict(zip(gens, m)), dict(env)), float(rr))

@@ -12,18 +12,18 @@ generator per seed, rounds in order from 0).  Each line gives seed, round,
 task label, the sha256 digest of the task's output (a solve report or a
 1-dimensional root set), the attempted and failed operation counts of the
 benchmark's check and its problem count (outputs ``bench/run.py`` marks
-incorrect); the last line the totals.  Two checkouts are compared by
-diffing this output.  With ``--only TEXT`` only the tasks whose label
-contains TEXT run and are checked; the generator still draws every task, so
-each task keeps the seed it has in the full replay.
+incorrect), then the problems themselves; the last line the totals and the
+number of open tasks (tasks with a failure or a problem).  Two checkouts
+are compared by diffing this output.  With ``--only TEXT`` only the tasks
+whose label contains TEXT run and are checked; the generator still draws
+every task, so each task keeps the seed it has in the full replay.
 
 The closure sweep solves S(1,1,c) in both Jordan shapes at 200 starts for
 each c in ``CLOSURE_C`` and each solver seed in ``--seeds`` (default 1-2;
 ``--rounds`` does not apply), under the solve-sweep check: criterion 08's
 residual, nilpotent-x and allowed-family rules, with every unmatched or
-degenerate class failed.  Each line also names the allowed families the
-solve did not find; the last line adds the number of open cells (solves
-with a failure, a problem or a missing family).
+degenerate class failed, plus one problem for each allowed family the
+solve did not find.
 """
 
 
@@ -72,7 +72,10 @@ def closure_tasks(seed):
                 return solver.report_to_json(solver.solve_reps(spec))
 
             def check(payload, key=("sklyanin", kind)):
-                return _check_solve(key, payload)
+                outcome = _check_solve(key, payload)
+                found = {sol["matched_family"] for sol in payload["solutions"]}
+                outcome.problems += [f"missing {f}" for f in sorted(ALLOWED_FAMILIES[key] - found)]
+                return outcome
 
             yield Task(f"closure sklyanin {kind} c={c} seed={seed}", run, check, STARTS)
 
@@ -102,7 +105,7 @@ def main():
     args = parser.parse_args()
     if args.seeds is None:
         args.seeds = seed_range("1-2" if args.workload == "closure" else "1-10")
-    attempted = failed = problems = open_cells = 0
+    attempted = failed = problems = open_tasks = 0
     for prefix, task in replay(args):
         if args.only not in task.label:
             continue
@@ -111,16 +114,11 @@ def main():
         attempted += outcome.attempted
         failed += outcome.failed
         problems += len(outcome.problems)
-        line = (f"{prefix} {task.label} {task.digest(output)} attempted {outcome.attempted} "
-                f"failed {outcome.failed} problems {len(outcome.problems)}")
-        if args.workload == "closure":
-            allowed = ALLOWED_FAMILIES["sklyanin", task.label.split()[2]]
-            missing = sorted(allowed - {sol["matched_family"] for sol in output["solutions"]})
-            open_cells += bool(outcome.failed or outcome.problems or missing)
-            line += f" missing {','.join(missing) or '-'}"
-        print(line, flush=True)
-    total = f"total attempted {attempted} failed {failed} problems {problems}"
-    print(total + (f" open {open_cells}" if args.workload == "closure" else ""))
+        open_tasks += bool(outcome.failed or outcome.problems)
+        print(f"{prefix} {task.label} {task.digest(output)} attempted {outcome.attempted} "
+              f"failed {outcome.failed} problems {len(outcome.problems)}",
+              *outcome.problems, flush=True)
+    print(f"total attempted {attempted} failed {failed} problems {problems} open {open_tasks}")
 
 
 if __name__ == "__main__":
