@@ -31,7 +31,6 @@ from .reptheory import (
     relation_residual,
     rep_from_json,
 )
-from .skewpoly import skew_center_point, skew_presentation
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "SKLYREP_SEED"
@@ -114,19 +113,22 @@ def _parse_assignments(text: str) -> dict:
 
 
 def _presentation_for(rep):
+    """The algebra whose generators the representation names, and its
+    presentation at the representation's parameters."""
     gens = rep.generators
-    if gens == ("x", "y", "z"):
-        c = rep.env.get("c")
-        if c is None:
-            raise UsageError("3-generator representation must bind the parameter c")
-        return sklyanin.s11c_presentation(c)
-    if gens == ("x", "y"):
-        return skew_presentation()
+    for algebra in solver.ALGEBRAS.values():
+        if algebra.generators != gens:
+            continue
+        for name in algebra.params:
+            if name not in rep.env:
+                raise UsageError(
+                    f"{len(gens)}-generator representation must bind the parameter {name}")
+        return algebra, algebra.presentation(rep.env)
     raise UsageError(f"unsupported generator set {gens}")
 
 
 def _verify_payload(rep, tol):
-    pres = _presentation_for(rep)
+    algebra, pres = _presentation_for(rep)
     residual = relation_residual(pres, rep)
     irr_burnside = is_irreducible_burnside(rep)
     witness = find_invariant_line(rep) if rep.n == 2 else None
@@ -143,20 +145,10 @@ def _verify_payload(rep, tol):
         # a non-scalar centre (a reducible rep mixing points) has no character;
         # the verdict stands and the reason is reported beside the null
         try:
-            if len(rep.generators) == 3:
-                char = sklyanin.central_character(rep, tol=max(tol, 1e-7))
-                payload["central_character"] = {
-                    "u1": _complex_to_pair(char.u1),
-                    "u2": _complex_to_pair(char.u2),
-                    "u3": _complex_to_pair(char.u3),
-                    "g": _complex_to_pair(char.g),
-                    "f_residual": char.f_residual,
-                }
-            else:
-                u1, u2 = skew_center_point(rep, tol=max(tol, 1e-7))
-                payload["central_character"] = {
-                    "u1": _complex_to_pair(u1), "u2": _complex_to_pair(u2)
-                }
+            char = algebra.character(rep, max(tol, 1e-7))
+            payload["central_character"] = {
+                k: _complex_to_pair(v) if isinstance(v, complex) else v for k, v in char.items()
+            }
         except ValueError as exc:
             payload["central_character"] = None
             payload["central_character_error"] = str(exc)
@@ -184,10 +176,9 @@ def _verify_human(payload) -> str:
         lines.append(f"central character: none ({payload['central_character_error']})")
     elif char:
         vals = ", ".join(
-            f"{k}={_fmt_c(complex(*char[k]))}" for k in ("u1", "u2", "u3", "g") if k in char
+            f"{k}={_fmt_c(complex(*v)) if isinstance(v, list) else _fmt(v)}"
+            for k, v in char.items()
         )
-        if "f_residual" in char:
-            vals += ", f_residual=" + _fmt(char["f_residual"])
         lines.append("central character: " + vals)
     lines.append("verdict: " + ("PASS" if payload["residual"] <= payload["tol"] else "FAIL"))
     return "\n".join(lines) + "\n"
@@ -302,10 +293,9 @@ def cmd_sigma(args) -> int:
 
 def cmd_solve(args) -> int:
     jordan = {"one": "one_block", "two": "two_blocks"}[args.jordan]
-    if args.algebra == "sklyanin" and args.c is None:
-        raise UsageError("--c is required for the sklyanin algebra")
-    if args.algebra == "skew" and args.c is not None:
-        raise UsageError("--c does not apply to the skew algebra")
+    if ("c" in solver.ALGEBRAS[args.algebra].params) != (args.c is not None):
+        rule = "is required for" if args.c is None else "does not apply to"
+        raise UsageError(f"--c {rule} the {args.algebra} algebra")
     task = solver.SolveTask(
         algebra=args.algebra,
         jordan_kind=jordan,
@@ -379,7 +369,7 @@ def _build_parser():
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("solve", help="rediscover 2-dimensional solutions numerically")
-    p.add_argument("--algebra", choices=("sklyanin", "skew"), required=True)
+    p.add_argument("--algebra", choices=tuple(solver.ALGEBRAS), required=True)
     p.add_argument("--c", type=parse_complex, default=None)
     p.add_argument("--jordan", choices=("one", "two"), required=True)
     p.add_argument("--starts", type=int, default=200)
@@ -432,17 +422,9 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (
-        UsageError,
-        sklyanin.ConstraintError,
-        sklyanin.DenominatorError,
-        sklyanin.InvalidParametersError,
-        KeyError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
-        # str() of a KeyError is the repr of its message
+    except (KeyError, FileNotFoundError, ValueError) as exc:
+        # UsageError, JSONDecodeError and sklyanin's parameter errors are
+        # ValueErrors; str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

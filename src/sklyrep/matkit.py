@@ -25,6 +25,12 @@ def is_scalar(m, rtol=DEFAULT_RTOL) -> bool:
     return np.linalg.norm(m - lam * np.eye(n)) <= rtol * (1.0 + np.linalg.norm(m))
 
 
+def _sqrt_pair(z):
+    """Both square roots of ``z``, principal first; one where z = 0."""
+    r = np.sqrt(complex(z))
+    return (r, -r) if abs(r) > 0 else (r,)
+
+
 def rank(m, rtol=DEFAULT_RTOL) -> int:
     """Numerical rank via singular values: count of sv > rtol * max sv."""
     m = _as_cmat(m)

@@ -23,6 +23,7 @@ from .matkit import DEFAULT_RTOL, is_scalar, nullspace
 __all__ = [
     "Presentation",
     "Rep",
+    "Algebra",
     "EquivClass",
     "relation_residual",
     "central_values",
@@ -75,6 +76,35 @@ class Rep:
     @property
     def generators(self):
         return tuple(self.images)
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """What the solver and the CLI need of one algebra, as functions of a
+    parameter environment ``env`` that binds the names in ``params``.
+
+    ``presentation(env)``, ``center_words(env)``: the relations, and the
+    central elements whose values are the central character.
+    ``character(rep, tol)``: the character ``verify`` reports, a dict of
+    complex values and float diagnostics (``ValueError`` where the centre is
+    not scalar).  ``candidates(env, jordan_kind, rep, char)``: the family
+    members to match a 2-dimensional irreducible solution of character
+    ``char`` against, in order, as ``(fid, params, leg, shear)``; ``leg`` is
+    None, or the member ``(fid, params)`` that the solution is conjugate to
+    and that ``shear`` takes to the target.  ``members(env, fid, params)``:
+    ``(branch, rep)`` for each branch whose side conditions hold.  A record
+    reaches its module's functions through lambdas that look them up when
+    called, so a wrapper on the module attribute sees every call.
+    """
+
+    name: str
+    params: tuple
+    generators: tuple
+    presentation: callable
+    center_words: callable
+    character: callable
+    candidates: callable
+    members: callable
 
 
 def _image_stack(rep, generators=None):

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import NcPoly, parse_ncpoly
-from .matkit import DEFAULT_RTOL
-from .reptheory import Presentation, Rep, central_values
+from .matkit import DEFAULT_RTOL, _sqrt_pair
+from .reptheory import Algebra, Presentation, Rep, central_values
 
 __all__ = [
     "SkewRepSpec",
     "skew_presentation",
     "skew_rep",
     "skew_center_point",
-    "skew_plane_slice",
+    "ALGEBRA",
 ]
 
 _GENS = ("x", "y")
@@ -70,25 +70,19 @@ def skew_center_point(rep: Rep, tol: float = DEFAULT_RTOL):
     return tuple(central_values(_PRESENTATION, _CENTER_WORDS, rep, tol))
 
 
-def skew_plane_slice(grid) -> str:
-    """CSV map of the parametrizing affine plane (u1, u2), axes marked.
+def _candidates(env, jordan_kind, rep, char):
+    """``Algebra.candidates``: the psi members at alpha^2 = u1, beta = u2."""
+    u1, u2 = char
+    return [("psi", {"alpha": alpha, "beta": u2}, None, None)
+            for alpha in _sqrt_pair(u1) if abs(alpha) > 1e-10]
 
-    Each row is ``u1,u2,kind`` with kind one of ``origin`` (trivial rep),
-    ``u1_axis``/``u2_axis`` (nontrivial 1-dimensional reps) or ``azumaya``
-    (2-dimensional irreducibles).
-    """
-    lo, hi, steps = grid
-    axis = np.linspace(float(lo), float(hi), int(steps))
-    lines = ["u1,u2,kind"]
-    for u1 in axis:
-        for u2 in axis:
-            if u1 == 0.0 and u2 == 0.0:
-                kind = "origin"
-            elif u2 == 0.0:
-                kind = "u1_axis"
-            elif u1 == 0.0:
-                kind = "u2_axis"
-            else:
-                kind = "azumaya"
-            lines.append("%.17g,%.17g,%s" % (u1, u2, kind))
-    return "\n".join(lines) + "\n"
+
+ALGEBRA = Algebra(
+    "skew", (), _GENS,
+    presentation=lambda env: skew_presentation(),
+    center_words=lambda env: _CENTER_WORDS,
+    character=lambda rep, tol: dict(zip(("u1", "u2"), skew_center_point(rep, tol=tol))),
+    candidates=_candidates,
+    members=lambda env, fid, params: [
+        (None, skew_rep(SkewRepSpec("two_dim", params["alpha"], params["beta"])))],
+)

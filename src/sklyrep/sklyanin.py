@@ -15,13 +15,13 @@ choice via ``branch={"principal", "negated"}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .freealg import NcPoly
-from .matkit import DEFAULT_RTOL
-from .reptheory import Presentation, Rep, central_values
+from .matkit import DEFAULT_RTOL, _sqrt_pair
+from .reptheory import Algebra, Presentation, Rep, central_values
 
 __all__ = [
     "InvalidParametersError",
@@ -50,6 +50,7 @@ __all__ = [
     "central_character",
     "xc_gradient",
     "xc_slice",
+    "ALGEBRA",
 ]
 
 VALIDITY_MARGIN = 1e-6
@@ -681,3 +682,69 @@ def xc_slice(c, u1, grid) -> str:
                 "%.17g,%.17g,%.17g" % (u2, u3, np.sqrt(val + 0j).real)
             )
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the record the solver and the command line read
+
+
+def _candidates(env, jordan_kind, rep, char):
+    """``Algebra.candidates``: first the representative members at the
+    central character ``char``, by closed-form inversion.  A ``one_block``
+    solution then adds the t3f1 member reached through its own gauge: its z
+    image is ``[[-z4, z2], [z3, z4]]``, so it is conjugate, by a
+    well-conditioned Q, to the t1f4 member (the ``leg``) at ``(z2, z3, z4)``
+    in one branch, and the exact shear of ``t3f1_shear`` takes that member to
+    the t3f1 member, whose entries grow like 1/z3.
+    """
+    c = env["c"]
+    u1, u2, u3 = char[:3]
+    cands = []
+    if jordan_kind == "one_block":
+        z3 = -c * u2
+        if abs(z3) > 1e-8:
+            cands.append(("t3f1", {"z2": (u3 - 1.0) / z3, "z3": z3}, None, None))
+        for z4 in _sqrt_pair(u3):
+            if abs(z4) > 1e-8:
+                cands.append(("t3f2", {"z4": z4}, None, None))
+        z = rep.images["z"]
+        gauge = {"z2": z[0, 1], "z3": z[1, 0], "z4": (z[1, 1] - z[0, 0]) / 2.0}
+        try:
+            params, shear = t3f1_shear(**gauge)
+        except DenominatorError:
+            return cands
+        return cands + [("t3f1", params, ("t1f4", gauge), shear)]
+    for x1 in _sqrt_pair(u1):
+        if abs(x1) <= 1e-10:
+            continue
+        y4, z4 = c * u3 / (2.0 * x1), c * u2 / (2.0 * x1)
+        cands.append(("t4f2", {"x4": x1}, None, None))
+        cands += [("t4f1", {"y4": y4, "z4": r}, None, None) for r in _sqrt_pair(u3)]
+        cands += [("t4f3", {"y4": r, "z4": z4}, None, None) for r in _sqrt_pair(u2)]
+        quad = np.array([2.0 * x1 * z4 - c * y4 ** 2, c ** 2 * x1 ** 2 + 2.0 * c * y4 * z4,
+                         2.0 * x1 * y4 - c * z4 ** 2], dtype=complex)
+        if np.max(np.abs(quad)) > 1e-12:
+            for z3 in np.roots(quad):
+                if np.isfinite(z3):
+                    cands.append(("t4f4", {"y4": y4, "z3": z3, "z4": z4}, None, None))
+    return cands
+
+
+def _members(env, fid, params):
+    """The members of family ``fid`` at ``params``, one per branch whose
+    side conditions and denominators hold, as ``(branch, rep)``."""
+    for branch in ("principal", "negated") if FAMILIES[fid].has_radical else ("principal",):
+        try:
+            yield branch, family(fid, {**env, **params}, branch=branch)
+        except (ConstraintError, DenominatorError, InvalidParametersError):
+            continue
+
+
+ALGEBRA = Algebra(
+    "sklyanin", ("c",), ("x", "y", "z"),
+    presentation=lambda env: s11c_presentation(env["c"]),
+    center_words=lambda env: center_words(env["c"]),
+    character=lambda rep, tol: asdict(central_character(rep, tol=tol)),
+    candidates=_candidates,
+    members=_members,
+)

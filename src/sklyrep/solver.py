@@ -11,10 +11,10 @@ positive-dimensional solution components), then re-polishes every endpoint
 on the unsliced system, keeps the points that satisfy the relations,
 deduplicates them up to simultaneous conjugation, and certifies each
 irreducible class by an explicit conjugator to a representative family
-member.  One loop (``_match``) serves both algebras: it runs over one
-candidate list (``_candidates``), the members at the class's central
-character and, for ``one_block``, the t3f1 member reached through the
-solution's own gauge.
+member.  Everything specific to an algebra comes from its ``Algebra``
+record (``ALGEBRAS``): the presentation, the centre, and the candidate
+members at a class's central character, which one loop (``_match``)
+tries for every algebra.
 
 Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
 sweep (``one_dim_solutions``), runs all of its starts at once through
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sklyanin
+from . import sklyanin, skewpoly
 from .matkit import DEFAULT_RTOL
 from .reptheory import (
     Presentation,
@@ -54,9 +54,9 @@ from .reptheory import (
     is_irreducible_burnside,
     relation_residual,
 )
-from .skewpoly import _CENTER_WORDS, SkewRepSpec, skew_presentation, skew_rep
 
 __all__ = [
+    "ALGEBRAS",
     "DEFAULT_SLICES",
     "SolveTask",
     "Solution",
@@ -65,6 +65,8 @@ __all__ = [
     "one_dim_solutions",
     "report_to_json",
 ]
+
+ALGEBRAS = {algebra.name: algebra for algebra in (sklyanin.ALGEBRA, skewpoly.ALGEBRA)}
 
 DEFAULT_SLICES = {"one_block": 2, "two_blocks": 3}
 
@@ -104,8 +106,9 @@ REFINE_STEPS = 5
 
 @dataclass(frozen=True)
 class SolveTask:
-    """One solve run: algebra ("sklyanin" or "skew"), the Jordan shape of the
-    first generator image, and the randomized-search budget."""
+    """One solve run: the name of an algebra in ``ALGEBRAS``, the Jordan
+    shape of the first generator image, the parameter c where the algebra
+    has one, and the randomized-search budget."""
 
     algebra: str
     jordan_kind: str  # one_block | two_blocks
@@ -115,6 +118,13 @@ class SolveTask:
     slice_count: int = None
 
     def __post_init__(self):
+        if self.algebra not in ALGEBRAS:
+            raise ValueError(f"unknown algebra {self.algebra!r}")
+        if self.jordan_kind not in DEFAULT_SLICES:
+            raise ValueError(f"unknown jordan_kind {self.jordan_kind!r}")
+        if ("c" in ALGEBRAS[self.algebra].params) != (self.c is not None):
+            rule = "is required for" if self.c is None else "does not apply to"
+            raise ValueError(f"c {rule} the {self.algebra} algebra")
         if self.num_starts < 1:
             raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
         if self.slice_count is not None and self.slice_count < 0:
@@ -125,14 +135,13 @@ class SolveTask:
             return int(self.slice_count)
         return DEFAULT_SLICES[self.jordan_kind]
 
+    @property
+    def env(self) -> dict:
+        """The parameters bound in every solution's environment."""
+        return {} if self.c is None else {"c": complex(self.c)}
+
     def presentation(self) -> Presentation:
-        if self.algebra == "sklyanin":
-            if self.c is None:
-                raise ValueError("sklyanin tasks need c")
-            return sklyanin.s11c_presentation(self.c)
-        if self.algebra == "skew":
-            return skew_presentation()
-        raise ValueError(f"unknown algebra {self.algebra!r}")
+        return ALGEBRAS[self.algebra].presentation(self.env)
 
 
 @dataclass
@@ -213,8 +222,6 @@ def _layout(n_gens, jordan_kind, n):
     """
     if n == 1:
         return np.eye(n_gens + 1, dtype=complex)[1:, :, None, None]
-    if jordan_kind not in _JORDAN_SHAPES:
-        raise ValueError(f"unknown jordan_kind {jordan_kind!r}")
     head = _JORDAN_SHAPES[jordan_kind]
     free = 4 * (n_gens - 1)
     images = np.zeros((n_gens, len(head) + free, 2, 2), dtype=complex)
@@ -384,132 +391,46 @@ def _disk_samples(rng, shape, radius=2.0):
 # matching discovered solutions to the representative families
 
 
-def _sqrt_pair(z):
-    r = np.sqrt(complex(z))
-    return (r, -r) if abs(r) > 0 else (r,)
-
-
-def _characters(task, pres, mats):
-    """The central characters of the (count, k, 2, 2) image stack ``mats``,
-    (u1, u2, u3, g) on S(1,1,c) and (u1, u2) on the skew ring, one per row,
-    and the mask of those whose centre is scalar (the others have none)."""
-    words = _CENTER_WORDS if task.algebra == "skew" else sklyanin.center_words(complex(task.c))
-    return central_values(pres, words, mats, 1e-6)
-
-
-def _candidates(task, rep, char):
-    """The family members a solution is matched against, in order, as
-    ``(fid, params, gauge, shear)``.
-
-    First the members at the central character ``char``, by closed-form
-    inversion (``psi`` at alpha^2 = u1, beta = u2 on the skew ring); their
-    ``gauge`` and ``shear`` are None.  A ``one_block`` solution then adds
-    the t3f1 member reached through its own gauge: its z image is
-    ``[[-z4, z2], [z3, z4]]``, so it is conjugate, by a well-conditioned Q,
-    to the t1f4 member at ``gauge = (z2, z3, z4)`` in one branch, and the
-    exact shear of ``sklyanin.t3f1_shear`` takes that member to the t3f1
-    member, whose entries grow like 1/z3.
-    """
-    if task.algebra == "skew":
-        u1, u2 = char
-        return [("psi", {"alpha": alpha, "beta": u2}, None, None)
-                for alpha in _sqrt_pair(u1) if abs(alpha) > 1e-10]
-    c = complex(task.c)
-    u1, u2, u3 = char[:3]
-    cands = []
-    if task.jordan_kind == "one_block":
-        z3 = -c * u2
-        if abs(z3) > 1e-8:
-            cands.append(("t3f1", {"z2": (u3 - 1.0) / z3, "z3": z3}, None, None))
-        for z4 in _sqrt_pair(u3):
-            if abs(z4) > 1e-8:
-                cands.append(("t3f2", {"z4": z4}, None, None))
-        z = rep.images["z"]
-        gauge = {"z2": z[0, 1], "z3": z[1, 0], "z4": (z[1, 1] - z[0, 0]) / 2.0}
-        try:
-            params, shear = sklyanin.t3f1_shear(**gauge)
-        except sklyanin.DenominatorError:
-            return cands
-        return cands + [("t3f1", params, gauge, shear)]
-    for x1 in _sqrt_pair(u1):
-        if abs(x1) <= 1e-10:
-            continue
-        y4, z4 = c * u3 / (2.0 * x1), c * u2 / (2.0 * x1)
-        cands.append(("t4f2", {"x4": x1}, None, None))
-        cands += [("t4f1", {"y4": y4, "z4": r}, None, None) for r in _sqrt_pair(u3)]
-        cands += [("t4f3", {"y4": r, "z4": z4}, None, None) for r in _sqrt_pair(u2)]
-        quad = np.array([2.0 * x1 * z4 - c * y4 ** 2, c ** 2 * x1 ** 2 + 2.0 * c * y4 * z4,
-                         2.0 * x1 * y4 - c * z4 ** 2], dtype=complex)
-        if np.max(np.abs(quad)) > 1e-12:
-            for z3 in np.roots(quad):
-                if np.isfinite(z3):
-                    cands.append(("t4f4", {"y4": y4, "z3": z3, "z4": z4}, None, None))
-    return cands
-
-
 def _char_gap(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return float(np.max(np.abs(a - b)) / (1.0 + max(np.linalg.norm(a), np.linalg.norm(b))))
 
 
-def _member(task, fid, params, branch):
-    """The family member at ``params``, or None where its constraints or
-    denominators fail."""
-    if fid == "psi":
-        return skew_rep(SkewRepSpec("two_dim", params["alpha"], params["beta"]))
-    try:
-        return sklyanin.family(fid, {"c": complex(task.c), **params}, branch=branch)
-    except (sklyanin.ConstraintError, sklyanin.DenominatorError,
-            sklyanin.InvalidParametersError):
-        return None
-
-
-def _branches(fid):
-    if fid == "psi":
-        return (None,)
-    return ("principal", "negated") if sklyanin.FAMILIES[fid].has_radical else ("principal",)
-
-
-def _match(task, rep, tol, char):
+def _match(task, pres, rep, tol, char):
     """Match an irreducible solution to a family member by an explicit
     conjugator: ``(fid, params, branch, Q)`` or None.
 
-    Two tiers run over the ``_candidates`` list.  The strict tier tries
-    every candidate at ``tol``: a direct one needs ``find_conjugator`` to
-    accept it; a gauge one needs ``find_conjugator`` to accept its gauge
-    member, and the composition with the shear must pass the acceptance
-    test (``_conjugates``) at ``tol`` against the target member in either
-    branch, in the original coordinates.  The loose tier, for solutions
-    polished right next to a component junction, tries only the direct
-    candidates, at 1e-6, and the central characters must also agree, so it
-    cannot merge distinct classes.
+    Two tiers run over the record's candidates at the central character
+    ``char``.  The strict tier tries every candidate at ``tol``: a direct
+    one needs ``find_conjugator`` to accept it; a gauge one needs
+    ``find_conjugator`` to accept its leg member, and the composition with
+    the shear must pass the acceptance test (``_conjugates``) at ``tol``
+    against the target member in either branch, in the original
+    coordinates.  The loose tier, for solutions polished right next to a
+    component junction, tries only the direct candidates, at 1e-6, and the
+    central characters must also agree, so it cannot merge distinct classes.
     """
-    cands = _candidates(task, rep, char)
+    algebra, env = ALGEBRAS[task.algebra], task.env
+    cands = algebra.candidates(env, task.jordan_kind, rep, char)
     for loose in (False, True):
-        for fid, params, gauge, shear in cands:
-            if loose and gauge is not None:
+        for fid, params, leg, shear in cands:
+            if loose and leg is not None:
                 continue
-            leg = (fid, params) if gauge is None else ("t1f4", gauge)
-            for branch in _branches(leg[0]):
-                member = _member(task, *leg, branch)
-                if member is None:
-                    continue
+            for branch, member in algebra.members(env, *(leg or (fid, params))):
                 if loose:
-                    pres = task.presentation()
-                    ch, ok = _characters(task, pres, np.array([member.matrices(rep.generators)]))
+                    mats = np.array([member.matrices(rep.generators)])
+                    ch, ok = central_values(pres, algebra.center_words(env), mats, 1e-6)
                     if not ok[0] or _char_gap(char, ch[0]) > 1e-5:
                         continue
                 q = find_conjugator(rep, member, 1e-6 if loose else tol)
                 if q is None:
                     continue
-                if gauge is None:
+                if leg is None:
                     return fid, params, branch, q
                 q = shear @ q
                 mats = np.array(rep.matrices(rep.generators))
-                for target_branch in _branches(fid):
-                    target = _member(task, fid, params, target_branch)
-                    if target is not None and _conjugates(
-                            q, mats, np.array(target.matrices(rep.generators)), tol):
+                for target_branch, target in algebra.members(env, fid, params):
+                    if _conjugates(q, mats, np.array(target.matrices(rep.generators)), tol):
                         return fid, params, target_branch, q / np.linalg.norm(q)
     return None
 
@@ -613,7 +534,6 @@ def _kept_solutions(task, pres):
     """
     gens = pres.generators
     images, base = _build_system(pres, task.jordan_kind, 2)
-    env = {"c": complex(task.c)} if task.algebra == "sklyanin" else {}
     rng = np.random.default_rng(task.seed)
     U = np.empty((task.num_starts, base.n_unknowns), dtype=complex)
     for idx, origins, directions in _slice_charts(*_slices_and_starts(rng, task, base.n_unknowns)):
@@ -632,7 +552,7 @@ def _kept_solutions(task, pres):
                                   converged=0.0, max_steps=REFINE_STEPS)
     mats = _images_at(images, U)
     residuals = relation_residual(pres, mats)
-    return [(Rep(2, dict(zip(gens, m)), dict(env)), float(rr))
+    return [(Rep(2, dict(zip(gens, m)), task.env), float(rr))
             for m, rr in zip(mats, residuals) if rr <= KEEP_RESIDUAL]
 
 
@@ -642,9 +562,8 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     Deterministic for a fixed task (including the seed).  Every reported
     solution satisfies the unsliced relations with normalized residual at
     most 1e-9.  Every class that Burnside calls irreducible goes through
-    ``_match`` against the representative families (``t3f*``/``t4f*`` for
-    S(1,1,c), ``psi`` for the skew ring), and a match is reported only with
-    its explicit conjugator.  A class whose centre is not scalar has no
+    ``_match`` against the algebra's representative families, and a match
+    is reported only with its explicit conjugator.  A class whose centre is not scalar has no
     central character; it is left out of the solutions and counted in
     ``stats["degenerate"]``.
     """
@@ -656,7 +575,8 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     mats = np.array([rep.matrices(pres.generators) for rep, _ in heads])
     mats = mats.reshape(-1, len(pres.generators), 2, 2)
     irreducible = is_irreducible_burnside(mats, tol).tolist()
-    chars, scalar = _characters(task, pres, mats)
+    words = ALGEBRAS[task.algebra].center_words(task.env)
+    chars, scalar = central_values(pres, words, mats, 1e-6)
     keys = _rounded_keys(fingerprint(mats))
     solutions = []
     for i, (cls, (rep, rr)) in enumerate(zip(classes, heads)):
@@ -665,7 +585,7 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
             if not scalar[i]:
                 degenerate += len(cls.members)
                 continue
-            match = _match(task, rep, tol, chars[i])
+            match = _match(task, pres, rep, tol, chars[i])
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append((keys[i], rr, sol))

@@ -9,6 +9,7 @@ from sklyrep import solver
 from sklyrep.cli import main, parse_complex
 from sklyrep.reptheory import Rep, conjugate_rep, rep_to_json
 from sklyrep.sklyanin import family
+from sklyrep.skewpoly import SkewRepSpec, skew_rep
 
 from conftest import subprocess_env
 
@@ -135,6 +136,30 @@ def test_verify_non_scalar_centre_reports_no_character(tmp_path, capsys):
     assert lines[-1] == "verdict: PASS"
 
 
+def test_verify_rep_on_the_skew_ring_reports_its_two_central_values(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(rep_to_json(skew_rep(SkewRepSpec("two_dim", 0.8, -1.2)))))
+    assert main(["verify", "--rep", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload["central_character"]) == ["u1", "u2"]
+    assert main(["verify", "--rep", str(path), "--format", "human"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "central character: u1=0.64000000000000012, u2=-1.2"
+
+
+@pytest.mark.parametrize("gens, message", [
+    ("xyz", "3-generator representation must bind the parameter c"),
+    ("ab", "unsupported generator set ('a', 'b')"),
+], ids=["no_c", "unknown_generators"])
+def test_verify_rep_without_an_algebra_exits_2(tmp_path, capsys, gens, message):
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 2, "generators": list(gens),
+                                "matrices": {g: zero for g in gens}}))
+    assert main(["verify", "--rep", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_residual_failure_exits_1(tmp_path):
     rep = {
         "n": 2,
@@ -252,6 +277,7 @@ def test_solve_cli_runs_and_matches():
 def test_solve_requires_c_for_sklyanin():
     code, _, err = run_cli(["solve", "--algebra", "sklyanin", "--jordan", "one"])
     assert code == 2
+    assert err == "error: --c is required for the sklyanin algebra\n"
 
 
 @pytest.mark.parametrize(
@@ -259,7 +285,7 @@ def test_solve_requires_c_for_sklyanin():
     [
         (["--algebra", "sklyanin", "--c", "5", "--starts", "-3"], "num_starts"),
         (["--algebra", "sklyanin", "--c", "5", "--slices", "-1"], "slice_count"),
-        (["--algebra", "skew", "--c", "5"], "--c"),
+        (["--algebra", "skew", "--c", "5"], "error: --c does not apply to the skew algebra\n"),
     ],
     ids=["negative_starts", "negative_slices", "c_for_skew"],
 )

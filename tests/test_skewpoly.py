@@ -11,7 +11,6 @@ from sklyrep.reptheory import (
 from sklyrep.skewpoly import (
     SkewRepSpec,
     skew_center_point,
-    skew_plane_slice,
     skew_presentation,
     skew_rep,
 )
@@ -91,14 +90,3 @@ def test_equivalence_exactly_when_center_points_agree(rng):
         # different center point: no conjugator
         c = skew_rep(SkewRepSpec("two_dim", 1.5 * alpha + 0.3, beta))
         assert find_conjugator(a, c) is None
-
-
-def test_plane_slice_marks_axes():
-    csv = skew_plane_slice((-1.0, 1.0, 3))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "u1,u2,kind"
-    cells = {tuple(r.split(",")[:2]): r.split(",")[2] for r in lines[1:]}
-    assert cells[("0", "0")] == "origin"
-    assert cells[("1", "0")] == "u1_axis"
-    assert cells[("0", "-1")] == "u2_axis"
-    assert cells[("1", "-1")] == "azumaya"

@@ -10,13 +10,16 @@ from sklyrep.reptheory import (
     Presentation,
     Rep,
     _conjugates,
+    central_values,
     classify,
+    find_conjugator,
     fingerprint,
     relation_residual,
 )
-from sklyrep.sklyanin import center_words, family, s11c_presentation
-from sklyrep.skewpoly import _CENTER_WORDS, skew_presentation
+from sklyrep.sklyanin import FAMILIES, REPRESENTATIVE_IDS, family, s11c_presentation
+from sklyrep.skewpoly import skew_presentation
 from sklyrep.solver import (
+    ALGEBRAS,
     CONVERGE_RESIDUAL,
     DEFAULT_SLICES,
     MAX_STEPS,
@@ -30,7 +33,6 @@ from sklyrep.solver import (
     _images_at,
     _kept_solutions,
     _lstsq_steps,
-    _characters,
     _match,
     _pinned_polish,
     _rounded_keys,
@@ -42,6 +44,7 @@ from sklyrep.solver import (
 
 from conftest import (
     central_values_reference,
+    random_param,
     random_valid_c,
     rounded_key_reference,
     span_rank_reference,
@@ -52,6 +55,60 @@ def test_default_slice_counts():
     assert DEFAULT_SLICES == {"one_block": 2, "two_blocks": 3}
     assert SolveTask("sklyanin", "one_block", c=5.0).slices() == 2
     assert SolveTask("sklyanin", "two_blocks", c=5.0, slice_count=4).slices() == 4
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("quantum", "one_block"), {}, "unknown algebra 'quantum'"),
+    (("sklyanin", "three_blocks"), {"c": 5.0}, "unknown jordan_kind 'three_blocks'"),
+    (("sklyanin", "one_block"), {}, "c is required for the sklyanin algebra"),
+    (("skew", "two_blocks"), {"c": 5.0}, "c does not apply to the skew algebra"),
+], ids=["unknown_algebra", "unknown_jordan_kind", "c_missing", "c_for_skew"])
+def test_solve_task_checks_its_inputs_against_the_record(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SolveTask(*args, **kwargs)
+
+
+def test_solve_task_binds_the_record_parameters():
+    assert SolveTask("sklyanin", "one_block", c=5.0).env == {"c": 5.0 + 0j}
+    assert SolveTask("skew", "two_blocks").env == {}
+    assert SolveTask("skew", "two_blocks").presentation() == skew_presentation()
+
+
+# the representative families of each algebra: id, Jordan shape of the first
+# image, free parameters
+REPRESENTATIVES = {
+    "sklyanin": [(fid, "one_block" if fid.startswith("t3") else "two_blocks",
+                  FAMILIES[fid].free_params) for fid in REPRESENTATIVE_IDS],
+    "skew": [("psi", "two_blocks", ("alpha", "beta"))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_candidates_at_a_members_character_list_an_equivalent_member(name, rng):
+    # the closed-form inversion alone: the direct candidates at a random
+    # member's own central character include one that it is conjugate to
+    algebra = ALGEBRAS[name]
+    for fid, kind, free in REPRESENTATIVES[name]:
+        drawn = 0
+        while drawn < 12:
+            env = {"c": random_valid_c(rng)} if algebra.params else {}
+            members = list(algebra.members(env, fid, {p: random_param(rng) for p in free}))
+            if not members:
+                continue
+            drawn += 1
+            member = members[int(rng.integers(len(members)))][1]
+            pres = algebra.presentation(env)
+            mats = np.array([member.matrices(pres.generators)])
+            chars, scalar = central_values(pres, algebra.center_words(env), mats, 1e-6)
+            assert scalar[0]
+            accepted = [
+                cand_fid
+                for cand_fid, params, leg, _ in algebra.candidates(env, kind, member, chars[0])
+                if leg is None
+                for _, cand in algebra.members(env, cand_fid, params)
+                if find_conjugator(member, cand) is not None
+            ]
+            assert accepted, (fid, env, member.env)
 
 
 def test_determinism_identical_reports():
@@ -102,7 +159,9 @@ def test_skew_solver_closure():
 
 def _character(task, rep):
     pres = task.presentation()
-    chars, scalar = _characters(task, pres, np.array([rep.matrices(pres.generators)]))
+    mats = np.array([rep.matrices(pres.generators)])
+    words = ALGEBRAS[task.algebra].center_words(task.env)
+    chars, scalar = central_values(pres, words, mats, 1e-6)
     assert scalar[0]
     return chars[0]
 
@@ -133,7 +192,8 @@ def test_small_z3_one_block_solutions_match_t3f1_through_the_shear():
         for z3 in (1.5e-5, 1e-5):
             rep = family("t1f4", {"c": c, "z2": 0.7 - 0.2j, "z3": z3, "z4": 1.3 + 0.4j})
             task = SolveTask("sklyanin", "one_block", c=c)
-            fid, params, branch, q = _match(task, rep, DEFAULT_RTOL, _character(task, rep))
+            char = _character(task, rep)
+            fid, params, branch, q = _match(task, task.presentation(), rep, DEFAULT_RTOL, char)
             assert fid == "t3f1" and params["z3"] == z3
             member = family("t3f1", {"c": c, **params}, branch=branch)
             assert np.max(np.abs(member.images["y"])) > 1e8
@@ -466,7 +526,7 @@ def test_stacked_certification_reports_equal_the_per_class_loop(algebra, kind, c
     # per-representation references: the report must match byte for byte
     task = SolveTask(algebra, kind, c=c, num_starts=60, seed=7)
     pres = task.presentation()
-    words = _CENTER_WORDS if algebra == "skew" else center_words(complex(c))
+    words = ALGEBRAS[algebra].center_words(task.env)
     kept = _kept_solutions(task, pres)
     solutions = []
     for cls in classify([rep for rep, _ in kept]):
@@ -475,7 +535,7 @@ def test_stacked_certification_reports_equal_the_per_class_loop(algebra, kind, c
         sol = Solution(rep, rr, irreducible, multiplicity=len(cls.members))
         if irreducible:
             char = np.array(central_values_reference(pres, words, rep, 1e-6))
-            match = _match(task, rep, DEFAULT_RTOL, char)
+            match = _match(task, pres, rep, DEFAULT_RTOL, char)
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append(sol)
