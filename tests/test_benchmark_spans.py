@@ -35,3 +35,30 @@ def test_benchmark_spans_name_public_functions():
         ):
             missing.append(f"{short}.{name}")
     assert not missing, missing
+
+
+def test_records_reach_traced_functions_through_module_attributes(monkeypatch):
+    # the traced run wraps module attributes, so a record that held the
+    # function objects themselves would bypass the wrappers without a warning
+    from sklyrep import sklyanin, skewpoly
+
+    calls = []
+    for module, name in ((sklyanin, "family"), (sklyanin, "s11c_presentation"),
+                         (sklyanin, "central_character"), (skewpoly, "skew_center_point")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    def through(name, call):
+        calls.clear()
+        result = call()
+        assert name in calls, name
+        return result
+
+    env = {"c": 2.0 + 0j}
+    through("s11c_presentation", lambda: sklyanin.ALGEBRA.presentation(env))
+    _, member = through("family", lambda: next(iter(
+        sklyanin.ALGEBRA.members(env, "t3f2", {"z4": 1.0}))))
+    through("central_character", lambda: sklyanin.ALGEBRA.character(member, 1e-7))
+    _, psi = next(iter(skewpoly.ALGEBRA.members({}, "psi", {"alpha": 0.8, "beta": -1.2})))
+    through("skew_center_point", lambda: skewpoly.ALGEBRA.character(psi, 1e-7))
