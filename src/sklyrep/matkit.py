@@ -43,11 +43,19 @@ def rank(m, rtol=DEFAULT_RTOL) -> int:
 
 
 def nullspace(m, rtol=DEFAULT_RTOL):
-    """Orthonormal basis (list of 1-d arrays) of the numerical kernel of ``m``."""
+    """Orthonormal basis (list of 1-d arrays) of the numerical kernel of ``m``.
+
+    A stack (P, r, c) gives ``(vecs, nullity)`` from one batched SVD: the
+    kernel of ``m[p]`` is spanned by the last ``nullity[p]`` rows of the
+    (c, c) array ``vecs[p]``, which are the rows a 2-d call returns for it.
+    """
     m = _as_cmat(m)
-    if m.shape[0] == 0:
-        return [v for v in np.eye(m.shape[1], dtype=complex)]
-    _, sv, vh = np.linalg.svd(m)
-    cut = rtol * sv[0] if sv.size and sv[0] > 0 else 0.0
-    r = int(np.count_nonzero(sv > cut))
-    return [vh[i].conj() for i in range(r, m.shape[1])]
+    stack = m if m.ndim > 2 else m[None]
+    count, rows, cols = stack.shape
+    if rows == 0:
+        vecs, nullity = np.tile(np.eye(cols, dtype=complex), (count, 1, 1)), np.full(count, cols)
+    else:
+        # with rows >= cols, V is square either way, and only V is needed
+        _, sv, vh = np.linalg.svd(stack, full_matrices=rows < cols)
+        vecs, nullity = vh.conj(), cols - (sv > rtol * sv[:, :1]).sum(axis=1)
+    return (vecs, nullity) if m.ndim > 2 else list(vecs[0, cols - nullity[0]:])

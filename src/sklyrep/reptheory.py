@@ -13,6 +13,7 @@ trace fingerprint is only a pre-filter, the conjugator is the authority.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "find_invariant_line",
     "fingerprint",
     "find_conjugator",
+    "find_conjugators",
     "conjugate_rep",
     "classify",
     "rep_to_json",
@@ -83,6 +85,8 @@ class Algebra:
     """What the solver and the CLI need of one algebra, as functions of a
     parameter environment ``env`` that binds the names in ``params``.
 
+    ``validate(env)``: raises a ``ValueError`` that names the parameter
+    where ``env`` is outside the algebra's parameter space.
     ``presentation(env)``, ``center_words(env)``: the relations, and the
     central elements whose values are the central character.
     ``character(rep, tol)``: the character ``verify`` reports, a dict of
@@ -100,6 +104,7 @@ class Algebra:
     name: str
     params: tuple
     generators: tuple
+    validate: callable
     presentation: callable
     center_words: callable
     character: callable
@@ -306,22 +311,33 @@ def _well_conditioned_det(qs):
     """|det Q| / ||Q||^n for each Q of a stack, 0 where Q = 0."""
     n = qs.shape[-1]
     dets = np.abs(np.linalg.det(qs))
-    norms = np.sqrt(np.sum(qs.real ** 2 + qs.imag ** 2, axis=(-2, -1))) ** n
+    norms = np.sqrt((qs.real ** 2 + qs.imag ** 2).sum(axis=(-2, -1))) ** n
     return np.divide(dets, norms, out=np.zeros_like(dets), where=norms > 0.0)
 
 
+def _frobenius(mats):
+    """The Frobenius norm of each matrix of a (..., n, n) stack, bit for bit
+    ``np.linalg.norm`` of one matrix: strided dot products of its real and
+    of its imaginary parts, added."""
+    *lead, n, m = mats.shape
+    parts = np.ascontiguousarray(mats).view(float).reshape(*lead, n * m, 2).swapaxes(-1, -2)
+    squares = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
+    return np.sqrt(squares[..., 0] + squares[..., 1])
+
+
 def _sylvester_system(m1, m2):
-    """Stacked ``I (x) M1^T - M2 (x) I`` over a ``(k, n, n)`` pair of stacks.
+    """Stacked ``I (x) M1^T - M2 (x) I`` over a pair of ``(..., k, n, n)``
+    stacks, shape ``(..., k n^2, n^2)``.
 
     Row ``g n^2 + i n + k`` is the ``(i, k)`` entry of ``Q M1_g - M2_g Q``
     for vec(Q) row-major.  The identity products are the ones ``np.kron``
     forms, so the matrix equals the stacked ``np.kron`` blocks bit for bit.
     """
-    k, n, _ = m1.shape
+    *lead, k, n, _ = m1.shape
     eye = np.eye(n, dtype=complex)
-    left = eye[None, :, None, :, None] * m1.transpose(0, 2, 1)[:, None, :, None, :]
-    right = m2[:, :, None, :, None] * eye[None, None, :, None, :]
-    return (left - right).reshape(k * n * n, n * n)
+    left = eye[:, None, :, None] * m1.swapaxes(-1, -2)[..., None, :, None, :]
+    right = m2[..., None, :, None] * eye[:, None, :]
+    return (left - right).reshape(*lead, k * n * n, n * n)
 
 
 def _balancing(mats):
@@ -329,65 +345,129 @@ def _balancing(mats):
 
     Osborne's iteration on the squared magnitudes summed over the stack:
     index i is scaled until the off-diagonal norms of its row and its
-    column agree to within a factor 4.  Scaling by powers of two is exact.
+    column agree to within a factor 4.  Scaling by powers of two is exact,
+    so ``d^2`` and ``d^-2`` are kept entry by entry.
     """
-    a = np.sum(mats.real ** 2 + mats.imag ** 2, axis=0)
+    a = (mats.real ** 2 + mats.imag ** 2).sum(axis=0)
     np.fill_diagonal(a, 0.0)
-    d = np.ones(len(a))
+    d, square, inverse = np.ones((3, len(a)))
     for _sweep in range(64):
         changed = False
         for i in range(len(a)):
-            row = d[i] ** 2 * (a[i] @ d ** -2.0)
-            col = d[i] ** -2.0 * (a[:, i] @ d ** 2)
+            row = square[i] * (a[i] @ inverse)
+            col = inverse[i] * (a[:, i] @ square)
             if row == 0.0 or col == 0.0:
                 continue
             e = round(np.log2(col / row) / 4.0)
             if e:
                 d[i] *= 2.0 ** e
+                square[i], inverse[i] = d[i] ** 2, d[i] ** -2.0
                 changed = True
         if not changed:
             break
     return d
 
 
-def _conjugator_candidates(m1, m2, tol):
-    """Candidate conjugators from the nullspace of the Sylvester system.
+def _conjugates(qs, m1, m2, tol):
+    """The acceptance test ``||Q A Q^{-1} - B|| <= 10 tol (1 + ||B||)`` for
+    every image pair (A, B), of each Q of an (M, n, n) stack against its
+    (M, k, n, n) pair of stacks, or of one Q against one pair."""
+    if qs.ndim == 2:
+        return bool(_conjugates(qs[None], m1[None], m2[None], tol)[0])
+    gaps, norms = _frobenius(np.stack([qs[:, None] @ m1 @ np.linalg.inv(qs)[:, None] - m2, m2]))
+    return (gaps <= 10.0 * tol * (1.0 + norms)).all(axis=1)
 
-    One basis vector is the only candidate; a larger nullspace gives 32
-    seeded random combinations.  Returns an (m, n, n) stack, empty when the
-    nullspace is.
+
+@functools.lru_cache(maxsize=None)
+def _combination_coeffs(dim):
+    """32 seeded complex rows of ``dim`` coefficients; a row's real and
+    imaginary parts are consecutive draws."""
+    draws = np.random.default_rng(0).standard_normal((32, 2, dim))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+def _accept(qs, owner, tried, m1, m2, tol, found):
+    """Test the candidates ``tried`` (indices into ``qs``, of the pairs
+    ``owner``); a pair without a conjugator in ``found`` takes its first
+    that passes, normalized."""
+    if not tried.size:
+        return
+    if tried.size == len(qs) == len(m1):  # one candidate per pair, in pair order
+        passed = tried[_conjugates(qs, m1, m2, tol)]
+    else:
+        passed = tried[_conjugates(qs[tried], m1[owner[tried]], m2[owner[tried]], tol)]
+    for i, p in zip(passed.tolist(), owner[passed].tolist()):
+        if found[p] is None:
+            found[p] = qs[i] / np.linalg.norm(qs[i])
+
+
+def _search(m1, m2, tol):
+    """The plain search on each pair of the (P, k, n, n) stacks, in groups
+    of equal Sylvester nullity: the accepted conjugators (None where no
+    candidate passes) and the nullities.  A basis vector is the only
+    candidate; a larger nullspace gives 32 seeded combinations, each summed
+    over the basis term by term, tested best conditioned first (ties in
+    draw order), each pair's best one before all its others."""
+    count, _, n, _ = m1.shape
+    vecs, nullity = nullspace(_sylvester_system(m1, m2), tol)
+    found, dims = [None] * count, set(nullity.tolist())
+    for dim in sorted(dims - {0}):
+        if len(dims) == 1:  # every pair has this nullity
+            idx, basis = np.arange(count), vecs[:, n * n - dim:]
+        else:
+            idx = (nullity == dim).nonzero()[0]
+            basis = vecs[idx, n * n - dim:]
+        if dim == 1:
+            qs = basis.reshape(-1, n, n)
+            _accept(qs, idx, (_well_conditioned_det(qs) > tol).nonzero()[0], m1, m2, tol, found)
+            continue
+        combos, coeffs = 0, _combination_coeffs(dim)
+        for j in range(dim):
+            combos = combos + coeffs[:, j, None] * basis[:, j, None, :]
+        qs, owner = combos.reshape(-1, n, n), np.repeat(idx, 32)
+        keys = _well_conditioned_det(qs)
+        live = (keys > tol).nonzero()[0]
+        # best key first, ties in draw order: the order of a stable sort
+        live = live[np.argsort(-keys[live], kind="stable")]
+        heads, rest = {}, []
+        for i, p in zip(live.tolist(), owner[live].tolist()):
+            if p in heads:
+                rest.append((i, p))
+            else:
+                heads[p] = i
+        _accept(qs, owner, np.array(list(heads.values()), dtype=int), m1, m2, tol, found)
+        rest = np.array([i for i, p in rest if found[p] is None], dtype=int)
+        _accept(qs, owner, rest, m1, m2, tol, found)
+    return found, nullity
+
+
+def find_conjugators(m1, m2, tol: float = DEFAULT_RTOL):
+    """``find_conjugator`` on each pair of two (P, k, n, n) image stacks, in
+    one stacked search (one batched SVD): a list of P conjugators or None,
+    bit for bit those of the search on each pair alone.  The pairs with
+    candidates and no accepted one are balanced and searched again together.
     """
-    n = m1.shape[-1]
-    basis = nullspace(_sylvester_system(m1, m2), tol)
-    if len(basis) <= 1:
-        return np.array(basis).reshape(len(basis), n, n)
-    # one candidate's real and imaginary coefficients are consecutive
-    # draws, and its sum runs over the basis in order, term by term
-    draws = np.random.default_rng(0).standard_normal((32, 2, len(basis)))
-    coeffs = draws[:, 0] + 1j * draws[:, 1]
-    qs = 0
-    for c, b in zip(coeffs.T, basis):
-        qs = qs + c[:, None] * b
-    return qs.reshape(32, n, n)
-
-
-def _conjugates(q, m1, m2, tol):
-    """The acceptance test: ``||Q A Q^{-1} - B|| <= 10 tol (1 + ||B||)`` for
-    every pair (A, B) of the stacks."""
-    qi = np.linalg.inv(q)
-    return all(
-        np.linalg.norm(q @ a @ qi - b) <= 10.0 * tol * (1.0 + np.linalg.norm(b))
-        for a, b in zip(m1, m2)
-    )
-
-
-def _accepted_conjugator(qs, m1, m2, tol):
-    """The best conditioned candidate that passes the acceptance test, normalized."""
-    keys = _well_conditioned_det(qs).tolist()
-    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        if keys[i] > tol and _conjugates(qs[i], m1, m2, tol):
-            return qs[i] / np.linalg.norm(qs[i])
-    return None
+    m1, m2 = np.asarray(m1, dtype=complex), np.asarray(m2, dtype=complex)
+    found, nullity = _search(m1, m2, tol)
+    retry = []
+    for p, dim in enumerate(nullity.tolist()):
+        if dim and found[p] is None:
+            d1, d2 = _balancing(m1[p]), _balancing(m2[p])
+            if not (np.all(d1 == 1.0) and np.all(d2 == 1.0)):
+                retry.append((p, d1, d2))
+    if not retry:
+        return found
+    b1 = np.array([m1[p] * d1[:, None] / d1 for p, d1, _ in retry])
+    b2 = np.array([m2[p] * d2[:, None] / d2 for p, _, d2 in retry])
+    mapped = [(p, q * d1 / d2[:, None])
+              for (p, d1, d2), q in zip(retry, _search(b1, b2, tol)[0]) if q is not None]
+    if mapped:
+        pairs = [p for p, _ in mapped]
+        ok = _conjugates(np.array([q for _, q in mapped]), m1[pairs], m2[pairs], tol)
+        for (p, q), passed in zip(mapped, ok.tolist()):
+            if passed:
+                found[p] = q / np.linalg.norm(q)
+    return found
 
 
 def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
@@ -399,7 +479,7 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     so invertibility of its basis vector decides.  A larger nullspace is
     searched through 32 seeded random combinations, best conditioned
     first.  The returned Q is verified against all generators before being
-    accepted.
+    accepted.  The search is ``find_conjugators`` on one pair.
 
     When that search has candidates but none passes, the same search runs
     once more on the pair balanced by diagonal similarities
@@ -412,27 +492,20 @@ def find_conjugator(r1: Rep, r2: Rep, tol: float = DEFAULT_RTOL):
     ``Q -> D2 Q D1^{-1}`` maps the exact Sylvester nullspace of the pair
     onto that of the balanced pair, and only a singular value at the edge
     of the relative ``tol`` cut can cross it.
+
+    Acceptance is not monotone in ``tol``: the nullspace cut moves with it,
+    and the 32 combinations of the nullspace it leaves can all fail where
+    those at a smaller ``tol`` passed (direct t3f1 members of three
+    near-reducible classes are accepted at 1e-6 and rejected at 1e-4).
     """
     if r1.n != r2.n:
         return None
     gens = r1.generators
     if gens != r2.generators:
         raise ValueError("representations over different generator sets")
-    m1 = np.array([r1.images[g] for g in gens])
-    m2 = np.array([r2.images[g] for g in gens])
-    qs = _conjugator_candidates(m1, m2, tol)
-    q = _accepted_conjugator(qs, m1, m2, tol)
-    if q is not None or not len(qs):
-        return q
-    d1, d2 = _balancing(m1), _balancing(m2)
-    if np.all(d1 == 1.0) and np.all(d2 == 1.0):
-        return None
-    b1, b2 = m1 * d1[:, None] / d1, m2 * d2[:, None] / d2
-    q = _accepted_conjugator(_conjugator_candidates(b1, b2, tol), b1, b2, tol)
-    if q is None:
-        return None
-    q = q * d1 / d2[:, None]
-    return q / np.linalg.norm(q) if _conjugates(q, m1, m2, tol) else None
+    m1 = np.array([r1.images[g] for g in gens])[None]
+    m2 = np.array([r2.images[g] for g in gens])[None]
+    return find_conjugators(m1, m2, tol)[0]
 
 
 @dataclass

@@ -79,6 +79,7 @@ def _candidates(env, jordan_kind, rep, char):
 
 ALGEBRA = Algebra(
     "skew", (), _GENS,
+    validate=lambda env: None,
     presentation=lambda env: skew_presentation(),
     center_words=lambda env: _CENTER_WORDS,
     character=lambda rep, tol: dict(zip(("u1", "u2"), skew_center_point(rep, tol=tol))),

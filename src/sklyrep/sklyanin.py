@@ -742,6 +742,7 @@ def _members(env, fid, params):
 
 ALGEBRA = Algebra(
     "sklyanin", ("c",), ("x", "y", "z"),
+    validate=lambda env: validate_s11c(env["c"]),
     presentation=lambda env: s11c_presentation(env["c"]),
     center_words=lambda env: center_words(env["c"]),
     character=lambda rep, tol: asdict(central_character(rep, tol=tol)),

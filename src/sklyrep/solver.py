@@ -13,8 +13,11 @@ deduplicates them up to simultaneous conjugation, and certifies each
 irreducible class by an explicit conjugator to a representative family
 member.  Everything specific to an algebra comes from its ``Algebra``
 record (``ALGEBRAS``): the presentation, the centre, and the candidate
-members at a class's central character, which one loop (``_match``)
-tries for every algebra.
+members at a class's central character, which one matcher (``_match``)
+tries for every algebra.  It matches the irreducible classes in waves:
+wave j tries the j-th member of every class still unmatched in one stacked
+conjugator search, and each class builds its members lazily, so it builds
+and accepts the members a loop over that class alone would.
 
 Every Newton phase, in the 2-dimensional solves and in the 1-dimensional
 sweep (``one_dim_solutions``), runs all of its starts at once through
@@ -49,7 +52,7 @@ from .reptheory import (
     _reps_to_json,
     central_values,
     classify,
-    find_conjugator,
+    find_conjugators,
     fingerprint,
     is_irreducible_burnside,
     relation_residual,
@@ -125,6 +128,7 @@ class SolveTask:
         if ("c" in ALGEBRAS[self.algebra].params) != (self.c is not None):
             rule = "is required for" if self.c is None else "does not apply to"
             raise ValueError(f"c {rule} the {self.algebra} algebra")
+        ALGEBRAS[self.algebra].validate(self.env)
         if self.num_starts < 1:
             raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
         if self.slice_count is not None and self.slice_count < 0:
@@ -396,42 +400,90 @@ def _char_gap(a, b):
     return float(np.max(np.abs(a - b)) / (1.0 + max(np.linalg.norm(a), np.linalg.norm(b))))
 
 
-def _match(task, pres, rep, tol, char):
-    """Match an irreducible solution to a family member by an explicit
-    conjugator: ``(fid, params, branch, Q)`` or None.
+def _strict_tries(algebra, env, cands):
+    """``(fid, params, leg, shear, branch, member)`` for each member of each
+    candidate (of its leg, for a gauge one), built when it is reached."""
+    for fid, params, leg, shear in cands:
+        for branch, member in algebra.members(env, *(leg or (fid, params))):
+            yield fid, params, leg, shear, branch, member
 
-    Two tiers run over the record's candidates at the central character
-    ``char``.  The strict tier tries every candidate at ``tol``: a direct
-    one needs ``find_conjugator`` to accept it; a gauge one needs
-    ``find_conjugator`` to accept its leg member, and the composition with
-    the shear must pass the acceptance test (``_conjugates``) at ``tol``
-    against the target member in either branch, in the original
-    coordinates.  The loose tier, for solutions polished right next to a
-    component junction, tries only the direct candidates, at 1e-6, and the
+
+def _through_shear(algebra, env, fid, params, shear, q, mats, tol):
+    """A gauge candidate's match: the leg's conjugator ``q`` composed with
+    the shear, if it passes the acceptance test against a target member."""
+    q = shear @ q
+    for branch, target in algebra.members(env, fid, params):
+        if _conjugates(q, mats, np.array(target.matrices(algebra.generators)), tol):
+            return fid, params, branch, q / np.linalg.norm(q)
+    return None
+
+
+def _match(task, pres, reps, tol, chars):
+    """Match irreducible solutions to family members by explicit
+    conjugators: for each solution of ``reps``, at its central character in
+    ``chars``, ``(fid, params, branch, Q)`` or None.
+
+    Two tiers run over the record's candidates at a solution's character.
+    The strict tier tries every candidate at ``tol``: a direct one needs
+    the conjugator search to accept it; a gauge one needs the search to
+    accept its leg member, and the composition with the shear must pass
+    the acceptance test (``_conjugates``) at ``tol`` against the target
+    member in either branch, in the original coordinates.  It runs in
+    waves: wave j tries the j-th member (``_strict_tries``) of every
+    solution still unmatched, in one ``find_conjugators`` call.  The loose
+    tier, for solutions polished right next to a component junction, runs
+    one by one on the rest: direct candidates only, at 1e-6, and the
     central characters must also agree, so it cannot merge distinct classes.
+
+    The family reported is the first candidate, in the record's order, that
+    holds the class: the Table-4 families overlap, so it names a chart, not
+    a unique class.
     """
     algebra, env = ALGEBRAS[task.algebra], task.env
-    cands = algebra.candidates(env, task.jordan_kind, rep, char)
-    for loose in (False, True):
-        for fid, params, leg, shear in cands:
-            if loose and leg is not None:
+    gens = algebra.generators
+    mats = [np.array(rep.matrices(gens)) for rep in reps]
+    cands = [algebra.candidates(env, task.jordan_kind, rep, char) for rep, char in zip(reps, chars)]
+    tries = {i: _strict_tries(algebra, env, c) for i, c in enumerate(cands)}
+    matches = [None] * len(reps)
+    while tries:
+        wave = []
+        for i, pending in list(tries.items()):
+            attempt = next(pending, None)
+            if attempt is None:
+                del tries[i]
+            else:
+                wave.append((i, attempt))
+        if not wave:
+            break
+        qs = find_conjugators(np.array([mats[i] for i, _ in wave]),
+                              np.array([attempt[-1].matrices(gens) for _, attempt in wave]), tol)
+        for (i, (fid, params, leg, shear, branch, _)), q in zip(wave, qs):
+            if q is not None:
+                matches[i] = ((fid, params, branch, q) if leg is None else
+                              _through_shear(algebra, env, fid, params, shear, q, mats[i], tol))
+            if matches[i] is not None:
+                del tries[i]
+    words = algebra.center_words(env)
+    return [match if match is not None else
+            _loose_match(algebra, env, pres, words, cands[i], mats[i], chars[i])
+            for i, match in enumerate(matches)]
+
+
+def _loose_match(algebra, env, pres, words, cands, mats, char):
+    """The loose tier for one solution: the first direct candidate member
+    with a scalar centre and the solution's character that the search
+    accepts at 1e-6, or None."""
+    for fid, params, leg, _ in cands:
+        if leg is not None:
+            continue
+        for branch, member in algebra.members(env, fid, params):
+            member = np.array([member.matrices(algebra.generators)])
+            ch, ok = central_values(pres, words, member, 1e-6)
+            if not ok[0] or _char_gap(char, ch[0]) > 1e-5:
                 continue
-            for branch, member in algebra.members(env, *(leg or (fid, params))):
-                if loose:
-                    mats = np.array([member.matrices(rep.generators)])
-                    ch, ok = central_values(pres, algebra.center_words(env), mats, 1e-6)
-                    if not ok[0] or _char_gap(char, ch[0]) > 1e-5:
-                        continue
-                q = find_conjugator(rep, member, 1e-6 if loose else tol)
-                if q is None:
-                    continue
-                if leg is None:
-                    return fid, params, branch, q
-                q = shear @ q
-                mats = np.array(rep.matrices(rep.generators))
-                for target_branch, target in algebra.members(env, fid, params):
-                    if _conjugates(q, mats, np.array(target.matrices(rep.generators)), tol):
-                        return fid, params, target_branch, q / np.linalg.norm(q)
+            q = find_conjugators(mats[None], member, 1e-6)[0]
+            if q is not None:
+                return fid, params, branch, q
     return None
 
 
@@ -578,16 +630,16 @@ def solve_reps(task: SolveTask, tol: float = DEFAULT_RTOL) -> SolveReport:
     words = ALGEBRAS[task.algebra].center_words(task.env)
     chars, scalar = central_values(pres, words, mats, 1e-6)
     keys = _rounded_keys(fingerprint(mats))
+    todo = [i for i in range(len(heads)) if irreducible[i] and scalar[i]]
+    matches = dict(zip(todo, _match(task, pres, [heads[i][0] for i in todo], tol, chars[todo])))
     solutions = []
     for i, (cls, (rep, rr)) in enumerate(zip(classes, heads)):
         sol = Solution(rep, rr, irreducible[i], multiplicity=len(cls.members))
-        if sol.irreducible:
-            if not scalar[i]:
-                degenerate += len(cls.members)
-                continue
-            match = _match(task, pres, rep, tol, chars[i])
-            if match is not None:
-                sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
+        if sol.irreducible and not scalar[i]:
+            degenerate += len(cls.members)
+            continue
+        if matches.get(i) is not None:
+            sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = matches[i]
         solutions.append((keys[i], rr, sol))
     solutions = [sol for *_, sol in sorted(solutions, key=lambda entry: entry[:2])]
 

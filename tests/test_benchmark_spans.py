@@ -2,9 +2,11 @@ import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+BENCH = BENCHMARK.parent / "bench"
 
 
 def _traced_functions():
@@ -62,3 +64,23 @@ def test_records_reach_traced_functions_through_module_attributes(monkeypatch):
     through("central_character", lambda: sklyanin.ALGEBRA.character(member, 1e-7))
     _, psi = next(iter(skewpoly.ALGEBRA.members({}, "psi", {"alpha": 0.8, "beta": -1.2})))
     through("skew_center_point", lambda: skewpoly.ALGEBRA.character(psi, 1e-7))
+
+
+def test_traced_benchmark_wrapper_check_passes(tmp_path, monkeypatch):
+    # the traced run starts with bench/run.py's wrapper check and exits 3 when
+    # it fails: a span left unwrapped, or classify's conjugator calls other
+    # than (calls, hits) = (2, 2) on its three conjugate representations
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # set by run.py on import, restored here
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("calibrate", "tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        spans = run.check_wrappers(tmp_path)
+    finally:
+        for name in ("calibrate", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+    assert "reptheory.find_conjugator" in spans and "solver.solve_reps" in spans

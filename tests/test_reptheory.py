@@ -13,11 +13,13 @@ from sklyrep.reptheory import (
     _complex_to_pair,
     _reps_to_json,
     _sylvester_system,
+    _well_conditioned_det,
     _word_span_ranks,
     central_values,
     classify,
     conjugate_rep,
     find_conjugator,
+    find_conjugators,
     find_invariant_line,
     fingerprint,
     is_irreducible_burnside,
@@ -237,6 +239,119 @@ def test_find_conjugator_balanced_retry(monkeypatch):
     # without the balanced retry the plain search misses the pair
     monkeypatch.setattr(reptheory, "_balancing", lambda mats: np.ones(mats.shape[-1]))
     assert find_conjugator(a, b) is None
+
+
+def _one_pair_reference(m1, m2, tol):
+    """The one-pair conjugator search as it ran before the stacked kernel
+    (reference): candidates of one pair, tested one by one, best first,
+    then the balanced retry."""
+    n = m1.shape[-1]
+
+    def accepts(q, a, b):
+        qi = np.linalg.inv(q)
+        return all(np.linalg.norm(q @ x @ qi - y) <= 10.0 * tol * (1.0 + np.linalg.norm(y))
+                   for x, y in zip(a, b))
+
+    def candidates(a, b):
+        basis = nullspace(_sylvester_system(a, b), tol)
+        if len(basis) <= 1:
+            return np.array(basis).reshape(len(basis), n, n)
+        draws = np.random.default_rng(0).standard_normal((32, 2, len(basis)))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        qs = 0
+        for c, v in zip(coeffs.T, basis):
+            qs = qs + c[:, None] * v
+        return qs.reshape(32, n, n)
+
+    def accepted(qs, a, b):
+        keys = _well_conditioned_det(qs).tolist()
+        for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+            if keys[i] > tol and accepts(qs[i], a, b):
+                return qs[i] / np.linalg.norm(qs[i])
+        return None
+
+    qs = candidates(m1, m2)
+    q = accepted(qs, m1, m2)
+    if q is not None or not len(qs):
+        return q
+    d1, d2 = reptheory._balancing(m1), reptheory._balancing(m2)
+    if np.all(d1 == 1.0) and np.all(d2 == 1.0):
+        return None
+    b1, b2 = m1 * d1[:, None] / d1, m2 * d2[:, None] / d2
+    q = accepted(candidates(b1, b2), b1, b2)
+    if q is None:
+        return None
+    q = q * d1 / d2[:, None]
+    return q / np.linalg.norm(q) if accepts(q, m1, m2) else None
+
+
+def _retry_pair(z2):
+    a = conjugate_rep(family("t3f1", {"c": 5.0, "z2": 0.3, "z3": 1.1}), np.diag([256.0, 1.0]))
+    b = conjugate_rep(conjugate_rep(family("t3f1", {"c": 5.0, "z2": z2, "z3": 1.1}),
+                                    np.diag([256.0, 1.0])), np.array([[1.0, 1e4], [0.0, 1.0]]))
+    return a, b
+
+
+def _mixed_pairs(rng):
+    """Pairs of every kind the search meets, with the kind of each."""
+    def upper(corner):
+        return Rep(2, {g: [[0.0, v], [0.0, 0.0]] for g, v in zip("xyz", corner)})
+
+    pairs = []
+    for _ in range(4):
+        rep = sample_family(("t3f1", "t4f4", "t4f1")[int(rng.integers(3))], rng)
+        pairs.append(("empty", rep, sample_family("t4f2", rng)))
+        pairs.append(("accepted", rep, conjugate_rep(rep, random_conjugator(rng))))
+        # a non-split extension of two points against their direct sum: a
+        # one-dimensional, singular Sylvester nullspace
+        diag = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        corner = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        split = Rep(2, {g: np.diag(d) for g, d in zip("xyz", diag)})
+        extension = Rep(2, {g: np.diag(d) + np.array([[0.0, u], [0.0, 0.0]])
+                            for g, d, u in zip("xyz", diag, corner)})
+        pairs.append(("singular", extension, split))
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for w in (v * complex(*rng.standard_normal(2)), rng.standard_normal(3) + 0j):
+            pairs.append(("upper", conjugate_rep(upper(v), random_conjugator(rng)),
+                          conjugate_rep(upper(w), random_conjugator(rng))))
+    pairs += [("retry", *_retry_pair(0.3)), ("retry_negative", *_retry_pair(0.31))]
+    order = rng.permutation(len(pairs))
+    return [pairs[i] for i in order]
+
+
+def _stacks(pairs):
+    return [np.array([[r.images[g] for g in "xyz"] for r in side]) for side in zip(*pairs)]
+
+
+def test_stacked_conjugator_search_equals_the_one_pair_search(rng):
+    pairs = _mixed_pairs(rng)
+    m1, m2 = _stacks([(a, b) for _, a, b in pairs])
+    found = find_conjugators(m1, m2)
+    hits = {}
+    for (kind, a, b), q, x, y in zip(pairs, found, m1, m2):
+        ref = _one_pair_reference(x, y, 1e-8)
+        assert (q is None) == (ref is None), kind
+        if q is not None:
+            assert q.tobytes() == ref.tobytes(), kind
+            assert find_conjugator(a, b).tobytes() == q.tobytes()
+        hits.setdefault(kind, set()).add(q is not None)
+    # every kind shows up, with the outcome it is built for
+    assert hits == {"empty": {False}, "accepted": {True}, "singular": {False},
+                    "upper": {True, False}, "retry": {True}, "retry_negative": {False}}
+    assert nullspace(_sylvester_system(m1, m2), 1e-8)[1].max() >= 2
+
+
+def test_stacked_search_misses_the_retry_pair_without_balancing(rng, monkeypatch):
+    pairs = _mixed_pairs(rng)
+    m1, m2 = _stacks([(a, b) for _, a, b in pairs])
+    monkeypatch.setattr(reptheory, "_balancing", lambda mats: np.ones(mats.shape[-1]))
+    found = find_conjugators(m1, m2)
+    for (kind, _, _), q, x, y in zip(pairs, found, m1, m2):
+        ref = _one_pair_reference(x, y, 1e-8)
+        assert (q is None) == (ref is None), kind
+        assert q is None or q.tobytes() == ref.tobytes()
+        if kind == "retry":
+            assert q is None
 
 
 def _greedy_classify(reps, tol=1e-8):

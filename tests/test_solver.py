@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sklyrep import solver
+from sklyrep import sklyanin, solver
 from sklyrep.freealg import eval_ncpoly, parse_ncpoly
 from sklyrep.matkit import DEFAULT_RTOL
 from sklyrep.reptheory import (
@@ -14,6 +14,7 @@ from sklyrep.reptheory import (
     classify,
     find_conjugator,
     fingerprint,
+    is_irreducible_burnside,
     relation_residual,
 )
 from sklyrep.sklyanin import FAMILIES, REPRESENTATIVE_IDS, family, s11c_presentation
@@ -62,7 +63,12 @@ def test_default_slice_counts():
     (("sklyanin", "three_blocks"), {"c": 5.0}, "unknown jordan_kind 'three_blocks'"),
     (("sklyanin", "one_block"), {}, "c is required for the sklyanin algebra"),
     (("skew", "two_blocks"), {"c": 5.0}, "c does not apply to the skew algebra"),
-], ids=["unknown_algebra", "unknown_jordan_kind", "c_missing", "c_for_skew"])
+    (("sklyanin", "one_block"), {"c": 0.0}, "c is too close to 0"),
+    (("sklyanin", "two_blocks"), {"c": np.exp(2j * np.pi / 3)}, r"c\^3 is too close to 1"),
+    (("sklyanin", "one_block"), {"c": -2.0}, r"c\^3 is too close to -8"),
+    (("sklyanin", "one_block"), {"c": complex("nan")}, "c must be finite"),
+], ids=["unknown_algebra", "unknown_jordan_kind", "c_missing", "c_for_skew", "c_zero",
+        "c_cube_root_of_1", "c_cube_root_of_minus_8", "c_not_finite"])
 def test_solve_task_checks_its_inputs_against_the_record(args, kwargs, message):
     with pytest.raises(ValueError, match=message):
         SolveTask(*args, **kwargs)
@@ -183,22 +189,120 @@ def test_near_apex_two_blocks_class_matches_by_a_strict_conjugator():
     assert _conjugates(sol.conjugator, *mats, DEFAULT_RTOL)
 
 
+def _match_reference(task, pres, rep, tol, char):
+    """The per-class match loop that the waves replaced (reference): the
+    strict tier, then the loose tier, over one class's candidates."""
+    algebra, env = ALGEBRAS[task.algebra], task.env
+    cands = algebra.candidates(env, task.jordan_kind, rep, char)
+    for loose in (False, True):
+        for fid, params, leg, shear in cands:
+            if loose and leg is not None:
+                continue
+            for branch, member in algebra.members(env, *(leg or (fid, params))):
+                if loose:
+                    mats = np.array([member.matrices(rep.generators)])
+                    ch, ok = central_values(pres, algebra.center_words(env), mats, 1e-6)
+                    if not ok[0] or solver._char_gap(char, ch[0]) > 1e-5:
+                        continue
+                q = find_conjugator(rep, member, 1e-6 if loose else tol)
+                if q is None:
+                    continue
+                if leg is None:
+                    return fid, params, branch, q
+                q = shear @ q
+                mats = np.array(rep.matrices(rep.generators))
+                for target_branch, target in algebra.members(env, fid, params):
+                    if _conjugates(q, mats, np.array(target.matrices(rep.generators)), tol):
+                        return fid, params, target_branch, q / np.linalg.norm(q)
+    return None
+
+
+def _small_z3_reps(c):
+    return [family("t1f4", {"c": c, "z2": 0.7 - 0.2j, "z3": z3, "z4": 1.3 + 0.4j})
+            for z3 in (1.5e-5, 1e-5)]
+
+
 def test_small_z3_one_block_solutions_match_t3f1_through_the_shear():
     # a one_block solution at z3 ~ 1e-5 in its own gauge: its t3f1 member has
     # entries near 1e10 and no conjugator that the direct search accepts, and
     # the loose pass would take a t3f2 member, whose class has z3 = 0 (z3 is
     # invariant under I + tN, the centralizer of x)
     for c in (40.0, 12.0):
-        for z3 in (1.5e-5, 1e-5):
-            rep = family("t1f4", {"c": c, "z2": 0.7 - 0.2j, "z3": z3, "z4": 1.3 + 0.4j})
-            task = SolveTask("sklyanin", "one_block", c=c)
-            char = _character(task, rep)
-            fid, params, branch, q = _match(task, task.presentation(), rep, DEFAULT_RTOL, char)
-            assert fid == "t3f1" and params["z3"] == z3
+        task = SolveTask("sklyanin", "one_block", c=c)
+        reps = _small_z3_reps(c)
+        chars = [_character(task, rep) for rep in reps]
+        matches = _match(task, task.presentation(), reps, DEFAULT_RTOL, chars)
+        for rep, (fid, params, branch, q) in zip(reps, matches):
+            assert fid == "t3f1" and params["z3"] == rep.env["z3"]
             member = family("t3f1", {"c": c, **params}, branch=branch)
             assert np.max(np.abs(member.images["y"])) > 1e8
             mats = [np.array(r.matrices("xyz")) for r in (rep, member)]
             assert _conjugates(q, *mats, DEFAULT_RTOL)
+
+
+def _counting_family(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=sklyanin.family, **kwargs):
+        calls.append(args[0])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(sklyanin, "family", counted)
+    return calls
+
+
+def test_wave_matcher_equals_the_per_class_loop(monkeypatch):
+    # one wave call over the classes of a solve, gauge-route classes and a
+    # class that only the loose tier matches gives each class the per-class
+    # loop's match, bit for bit, from the same family members; at the first
+    # seed one class passes the gauge leg and fails the shear re-check
+    calls = _counting_family(monkeypatch)
+    rechecks = []
+
+    def recorded(*args, _fn=solver._through_shear):
+        result = _fn(*args)
+        rechecks.append(result is not None)
+        return result
+
+    for c, seed in ((0.5 + 1.2j, 798573753), (40.0, 1)):
+        task = SolveTask("sklyanin", "one_block", c=c, num_starts=200, seed=seed)
+        pres = task.presentation()
+        kept = [rep for rep, _ in _kept_solutions(task, pres)]
+        member = family("t3f2", {"c": c, "z4": 0.9 + 0.3j})
+        reps = [kept[cls.representative] for cls in classify(kept)] + _small_z3_reps(c) + [member]
+        mats = np.array([rep.matrices(pres.generators) for rep in reps])
+        words = ALGEBRAS["sklyanin"].center_words(task.env)
+        chars, scalar = central_values(pres, words, mats, 1e-6)
+        keep = [i for i, r in enumerate(reps) if scalar[i] and is_irreducible_burnside(r)]
+        reps, chars = [reps[i] for i in keep], chars[keep]
+        assert reps[-1] is member
+        # the member's character off by 3e-6 in u3, as at an endpoint polished
+        # next to a junction: the member at that character misses the strict
+        # tolerance and passes the loose one
+        chars[-1, 2] += 3e-6
+
+        calls.clear()
+        expected = [_match_reference(task, pres, rep, DEFAULT_RTOL, ch)
+                    for rep, ch in zip(reps, chars)]
+        reference_calls = len(calls)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_through_shear", recorded)
+            matches = _match(task, pres, reps, DEFAULT_RTOL, chars)
+        assert len(calls) == reference_calls > 0
+        assert len(matches) == len(expected)
+        for match, ref in zip(matches, expected):
+            assert (match is None) == (ref is None)
+            if ref is not None:
+                assert match[:3] == ref[:3]
+                assert match[3].tobytes() == ref[3].tobytes()
+        assert [m[0] for m in expected[-3:-1]] == ["t3f1", "t3f1"]
+        fid, params, branch, q = expected[-1]
+        loose = [np.array(r.matrices("xyz"))
+                 for r in (member, family(fid, {"c": c, **params}, branch=branch))]
+        assert fid == "t3f2" and params["z4"] != 0.9 + 0.3j
+        assert not _conjugates(q, *loose, DEFAULT_RTOL) and _conjugates(q, *loose, 1e-6)
+    assert set(rechecks) == {True, False}
 
 
 @pytest.mark.parametrize("c, seed", [(5.0, 354007259), (0.05, 644153130)])
@@ -535,7 +639,7 @@ def test_stacked_certification_reports_equal_the_per_class_loop(algebra, kind, c
         sol = Solution(rep, rr, irreducible, multiplicity=len(cls.members))
         if irreducible:
             char = np.array(central_values_reference(pres, words, rep, 1e-6))
-            match = _match(task, pres, rep, DEFAULT_RTOL, char)
+            match = _match_reference(task, pres, rep, DEFAULT_RTOL, char)
             if match is not None:
                 sol.matched_family, sol.fitted_params, sol.branch, sol.conjugator = match
         solutions.append(sol)
