@@ -346,17 +346,24 @@ def _balancing(mats):
     Osborne's iteration on the squared magnitudes summed over the stack:
     index i is scaled until the off-diagonal norms of its row and its
     column agree to within a factor 4.  Scaling by powers of two is exact,
-    so ``d^2`` and ``d^-2`` are kept entry by entry.
+    so ``d^2`` and ``d^-2`` are kept entry by entry; every product in a
+    row or column sum is exact, and for n <= 3 a sum has at most two
+    non-zero terms, so plain floats give numpy's dot products bit for bit.
+    A ratio well inside (1/4, 4) takes no step whatever log2's last bit.
     """
     a = (mats.real ** 2 + mats.imag ** 2).sum(axis=0)
     np.fill_diagonal(a, 0.0)
-    d, square, inverse = np.ones((3, len(a)))
+    a = a.tolist()
+    d, square, inverse = ([1.0] * len(a) for _ in range(3))
     for _sweep in range(64):
         changed = False
         for i in range(len(a)):
-            row = square[i] * (a[i] @ inverse)
-            col = inverse[i] * (a[:, i] @ square)
-            if row == 0.0 or col == 0.0:
+            row = col = 0.0
+            for j in range(len(a)):
+                row += a[i][j] * inverse[j]
+                col += a[j][i] * square[j]
+            row, col = square[i] * row, inverse[i] * col
+            if row == 0.0 or col == 0.0 or 0.26 < col / row < 3.9:
                 continue
             e = round(np.log2(col / row) / 4.0)
             if e:
@@ -365,7 +372,7 @@ def _balancing(mats):
                 changed = True
         if not changed:
             break
-    return d
+    return np.array(d)
 
 
 def _conjugates(qs, m1, m2, tol):
@@ -520,13 +527,11 @@ class EquivClass:
 # relative fingerprint gap above which classify skips the conjugator search
 FINGERPRINT_RTOL = 1e-6
 
-# relation keys (``_relation_keys``): spans of the right singular vectors of
-# a representation's word matrix with singular values above KEY_CUTS[0] and
-# KEY_CUTS[1] of its largest; singular values at or below KEY_EXACT of the
-# largest are rounding
+# relation keys (``_relation_keys``): the cuts of P_hi and P_lo and the
+# rounding level, as fractions of the largest singular value, and the
+# distance by which a direction of one key may leave the other's span
 KEY_CUTS = (1e-3, 1e-6)
 KEY_EXACT = 1e-13
-# a direction of one key that leaves the other's span by more than KEY_RTOL
 KEY_RTOL = 1e-2
 
 
@@ -542,7 +547,7 @@ def _relation_keys(mats):
     ``I - P_lo``, and the boolean matrix ``complete``: ``complete[j, i]``
     holds when every singular value that ``P_lo,j`` drops is at most
     ``KEY_EXACT`` of the largest, or when ``P_lo,j`` has at least as many
-    directions as ``P_hi,i`` (see ``_keys_split``).
+    directions as ``P_hi,i`` and as ``P_lo,i``.
 
     The relation space ``{a : W a = 0}`` and its orthogonal complement, the
     row space of W, are invariant under simultaneous conjugation: each word
@@ -554,8 +559,19 @@ def _relation_keys(mats):
     span.  It lies in the ``P_lo`` span only while no row-space direction
     has a singular value under the lower cut, and that is not invariant:
     ``K`` has condition number ``cond(Q)^2`` and can rescale the singular
-    values of ``K W`` relative to each other by as much.  No eigenvector is
-    computed.
+    values of ``K W`` relative to each other by as much.  So a ``P_lo``
+    with fewer directions than the other's ``P_hi`` (``v (x) N`` against
+    ``v (x) 1e7 N``) or ``P_lo`` (two conjugates of a t4f4 member whose x
+    image is 3e-4 of the others) is not complete, and ``classify`` splits a
+    pair only against a complete ``P_lo``.  It never splits an equivalent
+    pair with row space R where one of the two keeps all of R in its
+    ``P_lo``, nor where one has R above the upper cut and ``cond(Q)^2 <
+    KEY_CUTS[0] / KEY_EXACT``: a complete ``P_lo,j`` of ``dim R`` or more
+    directions is R up to noise, an exact one keeps all of R (relative
+    singular values in ``K W`` at least ``KEY_CUTS[0] / cond(Q)^2``), and
+    ``P_hi,j`` lies in R.  Only two representations that both drop
+    directions of R under the lower cut can be split wrongly.  No
+    eigenvector is computed.
 
     For S(1,1,c) every reducible 2-dimensional solution is ``v (x) N`` with
     N nilpotent, since the trivial representation is its only
@@ -576,37 +592,8 @@ def _relation_keys(mats):
     hi, lo = (np.einsum("sri,sr,srj->sij", vh, m.astype(float), vh.conj()) for m in kept)
     exact = np.all(kept[1] | (rel <= KEY_EXACT), axis=1)
     rank_hi, rank_lo = (np.count_nonzero(m, axis=1) for m in kept)
-    complete = exact[:, None] | (rank_lo[:, None] >= rank_hi[None, :])
+    complete = exact[:, None] | (rank_lo[:, None] >= np.maximum(rank_hi, rank_lo)[None, :])
     return hi, np.eye(lo.shape[-1]) - lo, complete
-
-
-def _keys_split(i, js, keys):
-    """Whether the relation keys prove representation i inequivalent to each
-    representation of the index array ``js``.
-
-    A key splits the pair when a direction of one ``P_hi`` leaves the other's
-    ``P_lo`` span, ``||(I - P_lo,j) P_hi,i||_F > KEY_RTOL`` (or with i and j
-    swapped), and that ``P_lo`` span is complete: either every singular
-    value it drops is rounding, or it has at least as many directions as
-    the ``P_hi`` span it is tested against.  A conjugation
-    that rescales a representation pushes directions of its row space
-    under the lower cut and leaves its ``P_lo`` with fewer directions than
-    the other's ``P_hi`` (``v (x) N`` against ``v (x) 1e7 N``); such pairs
-    go to ``find_conjugator``.
-
-    So an equivalent pair is never split when one of the two has its whole
-    row space above the upper cut and their conjugator has
-    ``cond(Q)^2 < KEY_CUTS[0] / KEY_EXACT``.  With ``P_hi,i`` the whole row
-    space R, a complete ``P_lo,j`` of at least ``dim R`` directions is R up
-    to noise; an exact one keeps every direction of R, whose relative
-    singular values in ``K W`` are at least ``KEY_CUTS[0] / cond(Q)^2``; and
-    ``P_hi,j`` always lies in R.  Only two representations badly scaled in
-    different directions can be split wrongly.
-    """
-    hi, out, complete = keys
-    i_out = np.linalg.norm(out[js] @ hi[i], axis=(1, 2)) > KEY_RTOL
-    j_out = np.linalg.norm(out[i] @ hi[js], axis=(1, 2)) > KEY_RTOL
-    return (i_out & complete[js, i]) | (j_out & complete[i, js])
 
 
 def classify(reps, tol: float = DEFAULT_RTOL):
@@ -614,18 +601,20 @@ def classify(reps, tol: float = DEFAULT_RTOL):
 
     Each representation joins the first class, in order of creation, whose
     representative it is conjugate to, and otherwise opens a class.  Two
-    conjugation invariants filter the pairs first, and ``find_conjugator``
-    runs only where neither tells them apart; it confirms every merge and
-    supplies the class's conjugator.
+    conjugation invariants first mark, for all pairs j < i at once, where
+    ``find_conjugator`` must decide; it runs there only, one pair per call
+    in class order, and confirms every merge and supplies the conjugator.
 
     - The trace fingerprints must agree: ``max |f_i - f_j| <=
-      FINGERPRINT_RTOL * (1 + max(||f_i||, ||f_j||))``, tested at once
-      against every class representative.
-    - The relation keys (``_relation_keys``) must not split the pair
-      (``_keys_split``).  Traces do not separate reducible solutions (they
-      only see the semisimplification), and these keys do.  On the
-      solver's output the equivalent pairs stay below 1e-5, three orders
-      under ``KEY_RTOL``.
+      FINGERPRINT_RTOL * (1 + max(||f_i||, ||f_j||))``, the gap taken one
+      word at a time.  Traces only see the semisimplification.
+    - The relation keys (``_relation_keys``), which separate reducible
+      solutions, must not split the pair: a key splits it when
+      ``||(I - P_lo,j) P_hi,i||_F^2 = tr(P_hi,i (I - P_lo,j))`` (orthogonal
+      projectors: one product over the stack) exceeds ``KEY_RTOL^2``, or
+      with i and j swapped, and that ``P_lo`` span is complete.  On the
+      solver's output equivalent pairs stay below 1e-5, three orders under
+      ``KEY_RTOL``.
 
     Deterministic given input order.  All representations must share one
     dimension and one generator list; otherwise a ``ValueError`` is raised.
@@ -634,28 +623,39 @@ def classify(reps, tol: float = DEFAULT_RTOL):
         return []
     if any(r.generators != reps[0].generators or r.n != reps[0].n for r in reps):
         raise ValueError("representations over different generator sets or dimensions")
+    count = len(reps)
     mats = np.array([r.matrices(reps[0].generators) for r in reps])
     fps = fingerprint(mats)
-    fp_norm = np.linalg.norm(fps, axis=1)
-    keys = _relation_keys(mats)
-
-    classes = []
-    heads = np.zeros(len(reps), dtype=int)  # representative of each class
-    for i, r in enumerate(reps):
-        js = heads[: len(classes)]
-        gap = np.max(np.abs(fps[js] - fps[i]), axis=1)
-        scale = 1.0 + np.maximum(fp_norm[js], fp_norm[i])
-        hits = np.flatnonzero(~(gap > FINGERPRINT_RTOL * scale))
-        for c in hits[~_keys_split(i, js[hits], keys)]:
-            q = find_conjugator(r, reps[js[c]], tol)
+    norms = np.linalg.norm(fps, axis=1)
+    hi, out, complete = _relation_keys(mats)
+    hi, out = hi.reshape(count, -1), out.reshape(count, -1).conj()
+    undecided = np.zeros((count, count), dtype=bool)
+    block = max(1, 4096 // count)
+    for a in range(0, count, block):
+        b = min(a + block, count)
+        gap = np.zeros((b - a, b))
+        for f in fps.T:
+            np.maximum(gap, np.abs(f[a:b, None] - f[None, :b]), out=gap)
+        close = ~(gap > FINGERPRINT_RTOL * (1.0 + np.maximum(norms[a:b, None], norms[None, :b])))
+        i_out = (hi[a:b] @ out[:b].T).real > KEY_RTOL ** 2
+        j_out = (out[a:b] @ hi[:b].T).real > KEY_RTOL ** 2
+        split = (i_out & complete[:b, a:b].T) | (j_out & complete[a:b, :b])
+        undecided[a:b, :b] = np.tril(close & ~split, a - 1)  # the pairs j < i
+    head = np.ones(count, dtype=bool)
+    joined = {}  # member -> (representative, conjugator), in member order
+    for i in np.flatnonzero(undecided.any(axis=1)).tolist():
+        for j in np.flatnonzero(undecided[i] & head).tolist():  # heads before i, in class order
+            q = find_conjugator(reps[i], reps[j], tol)
             if q is not None:
-                classes[c].members.append(i)
-                classes[c].conjugators[i] = q
+                head[i] = False
+                joined[i] = (j, q)
                 break
-        else:
-            heads[len(classes)] = i
-            classes.append(EquivClass(i, [i], {i: np.eye(r.n, dtype=complex)}))
-    return classes
+    classes = {h: EquivClass(h, [h], {h: np.eye(reps[0].n, dtype=complex)})
+               for h in np.flatnonzero(head).tolist()}
+    for i, (j, q) in joined.items():
+        classes[j].members.append(i)
+        classes[j].conjugators[i] = q
+    return list(classes.values())
 
 
 def _complex_to_pair(z):

@@ -1,5 +1,7 @@
+import functools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +450,28 @@ def test_classify_keys_leave_rescaled_pairs_to_the_conjugator(rng):
         assert [c.members for c in classes] == [[0, 1, 2]]
 
 
+def test_classify_keeps_conjugates_whose_keys_drop_different_directions():
+    # a t4f4 member whose x image is 3e-4 of y and z: the second conjugate
+    # drops one of its four row-space directions under the lower key cut,
+    # the first keeps all four above it and three above the upper cut, so
+    # the second's P_lo has as many directions as the first's P_hi but
+    # fewer than its P_lo: not complete
+    rep = family("t4f4", {"c": -0.767350177284071 - 0.40961798969782226j,
+                          "y4": 1.389310868871504 - 0.6986230185898616j,
+                          "z3": 0.7079881880024301 + 0.8002241887397779j,
+                          "z4": 1.5132227049997093 + 0.6498581736924229j}, branch="principal")
+    qs = [[[-2.028953262626297 - 1.1880637294026715j, 0.6682333362845491 + 0.568410703612659j],
+           [0.9824870597465292 + 0.9045831085301839j, -0.10839248352180596 - 1.2553074821254684j]],
+          [[1.235551335717769 + 0.18836331647310722j, -0.25456479170655255 + 0.8622280961032539j],
+           [-0.4369191050101202 + 0.20082266679021316j, -0.1534651904151944 - 0.459232222363362j]]]
+    reps = [conjugate_rep(rep, np.array(q)) for q in qs]
+    hi, out, _ = reptheory._relation_keys(np.array([r.matrices("xyz") for r in reps]))
+    assert max(np.linalg.norm(out[0] @ hi[1]), np.linalg.norm(out[1] @ hi[0])) > reptheory.KEY_RTOL
+    classes = classify(reps)
+    _assert_same_classes(classes, _greedy_classify(reps))
+    assert [c.members for c in classes] == [[0, 1]]
+
+
 def test_classify_conjugates_into_one_class(rng):
     rep = sample_family("t4f4", rng)
     reps = [rep] + [conjugate_rep(rep, random_conjugator(rng)) for _ in range(7)]
@@ -476,6 +500,164 @@ def test_classify_rejects_mixed_generator_lists():
         classify([trivial_rep(), pair])
     with pytest.raises(ValueError, match="different generator sets or dimensions"):
         classify([trivial_rep(), Rep(1, {g: [[0.0]] for g in "xyz"})])
+
+
+def _per_rep_classify(reps, tol=1e-8):
+    """classify as one Python pass per representation against the class
+    heads, keys tested by their Frobenius norms (reference)."""
+    mats = np.array([r.matrices(reps[0].generators) for r in reps])
+    fps = fingerprint(mats)
+    fp_norm = np.linalg.norm(fps, axis=1)
+    hi, out, complete = reptheory._relation_keys(mats)
+    classes = []
+    heads = np.zeros(len(reps), dtype=int)
+    for i, r in enumerate(reps):
+        js = heads[: len(classes)]
+        gap = np.max(np.abs(fps[js] - fps[i]), axis=1)
+        scale = 1.0 + np.maximum(fp_norm[js], fp_norm[i])
+        hits = np.flatnonzero(~(gap > FINGERPRINT_RTOL * scale))
+        i_out = np.linalg.norm(out[js[hits]] @ hi[i], axis=(1, 2)) > reptheory.KEY_RTOL
+        j_out = np.linalg.norm(out[i] @ hi[js[hits]], axis=(1, 2)) > reptheory.KEY_RTOL
+        split = (i_out & complete[js[hits], i]) | (j_out & complete[i, js[hits]])
+        for c in hits[~split]:
+            q = reptheory.find_conjugator(r, reps[js[c]], tol)
+            if q is not None:
+                classes[c].members.append(i)
+                classes[c].conjugators[i] = q
+                break
+        else:
+            heads[len(classes)] = i
+            classes.append(EquivClass(i, [i], {i: np.eye(r.n, dtype=complex)}))
+    return classes
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_at_200(algebra, kind, c):
+    task = SolveTask(algebra, kind, c=c, num_starts=200, seed=1)
+    return [rep for rep, _ in _kept_solutions(task, task.presentation())]
+
+
+def _cli_batch_input(seed):
+    """A shuffled list of 4 representatives x 4 conjugates and 4 classes of
+    3 conjugate strictly upper triangular representations, at one c."""
+    rng = np.random.default_rng(seed)
+    c = random_valid_c(rng)
+    corner = np.array([[0.0, 1.0], [0.0, 0.0]])
+    groups = [[conjugate_rep(rep, random_conjugator(rng)) for _ in range(4)]
+              for rep in (sample_family(fid, rng, c=c) for fid in ("t3f1", "t3f2", "t4f2", "t4f4"))]
+    for _ in range(4):
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        groups.append([conjugate_rep(Rep(2, {g: s * vi * corner for g, vi in zip("xyz", v)},
+                                         {"c": c}), random_conjugator(rng))
+                       for s in rng.standard_normal(3) + 1j * rng.standard_normal(3)])
+    reps = [rep for group in groups for rep in group]
+    return [reps[i] for i in rng.permutation(len(reps))]
+
+
+CLASSIFY_INPUTS = [("sklyanin", "one_block", 5.0), ("sklyanin", "two_blocks", 5.0),
+                   ("skew", "one_block", None), "cli-batch"]
+CLASSIFY_IDS = ["s11c-one_block", "s11c-two_blocks", "skew", "cli-batch"]
+
+
+def _classify_input(case):
+    return _cli_batch_input(7) if case == "cli-batch" else _kept_at_200(*case)
+
+
+def _recorded_classify(classify_fn, reps, monkeypatch):
+    """The classes and the (i, j) index pairs of every conjugator call."""
+    index = {id(r): k for k, r in enumerate(reps)}
+    calls = []
+    search = reptheory.find_conjugator
+
+    def recording(r1, r2, tol):
+        calls.append((index[id(r1)], index[id(r2)]))
+        return search(r1, r2, tol)
+
+    monkeypatch.setattr(reptheory, "find_conjugator", recording)
+    classes = classify_fn(reps)
+    monkeypatch.undo()
+    return classes, calls
+
+
+@pytest.mark.parametrize("case", CLASSIFY_INPUTS, ids=CLASSIFY_IDS)
+def test_classify_equals_the_per_rep_loop(case, monkeypatch):
+    reps = _classify_input(case)
+    classes, calls = _recorded_classify(classify, reps, monkeypatch)
+    expected, expected_calls = _recorded_classify(_per_rep_classify, reps, monkeypatch)
+    _assert_same_classes(classes, expected)
+    assert calls == expected_calls
+    assert all(list(c.conjugators) == list(e.conjugators) for c, e in zip(classes, expected))
+    if case == "cli-batch":
+        assert sorted(len(c.members) for c in classes) == [3] * 4 + [4] * 4
+    if case[1] == "two_blocks":
+        assert len(classes) < len(reps)
+
+
+@pytest.mark.parametrize("case", CLASSIFY_INPUTS, ids=CLASSIFY_IDS)
+def test_key_value_is_the_projector_identity(case):
+    reps = _classify_input(case)
+    mats = np.array([r.matrices(reps[0].generators) for r in reps])
+    hi, out, _ = reptheory._relation_keys(mats)
+    count = len(reps)
+    value = hi.reshape(count, -1) @ out.reshape(count, -1).conj().T
+    norms = np.linalg.norm(out[None, :] @ hi[:, None], axis=(2, 3))  # [i, j]: (I - P_lo,j) P_hi,i
+    assert np.abs(value - norms ** 2).max() <= 1e-12
+
+
+def _balancing_reference(mats):
+    """Osborne balancing with numpy dot products (reference)."""
+    a = (mats.real ** 2 + mats.imag ** 2).sum(axis=0)
+    np.fill_diagonal(a, 0.0)
+    d, square, inverse = np.ones((3, len(a)))
+    for _sweep in range(64):
+        changed = False
+        for i in range(len(a)):
+            row = square[i] * (a[i] @ inverse)
+            col = inverse[i] * (a[:, i] @ square)
+            if row == 0.0 or col == 0.0:
+                continue
+            e = round(np.log2(col / row) / 4.0)
+            if e:
+                d[i] *= 2.0 ** e
+                square[i], inverse[i] = d[i] ** 2, d[i] ** -2.0
+                changed = True
+        if not changed:
+            break
+    return d
+
+
+def test_balancing_equals_the_numpy_iteration(rng, monkeypatch):
+    recorded = []
+    balancing = reptheory._balancing
+    monkeypatch.setattr(reptheory, "_balancing", lambda mats: recorded.append(mats) or balancing(mats))
+    classify(_kept_at_200("sklyanin", "two_blocks", 5.0))
+    monkeypatch.undo()
+    assert len(recorded) > 100
+    stacks = list(recorded)
+    for n in (2, 3):
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-8, 8, (n, n))
+            m = (rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))) * scale
+            m[:, rng.integers(n), rng.integers(n)] *= rng.integers(2)
+            stacks.append(m)
+    moved = 0
+    for m in stacks:
+        d = reptheory._balancing(m)
+        assert d.tobytes() == _balancing_reference(m).tobytes()
+        moved += np.any(d != 1.0)
+    assert moved > 100
+
+
+def test_classify_memory_peak_on_a_solver_list():
+    reps = _kept_at_200("sklyanin", "two_blocks", 5.0)
+    assert len(reps) == 200
+    tracemalloc.start()
+    try:
+        classify(reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_rep_json_round_trip(rng):
