@@ -15,6 +15,8 @@ choice via ``branch={"principal", "negated"}``.
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -88,31 +90,31 @@ class SklyaninParams:
     b: complex
     c: complex
 
-    def validate(self, margin: float = VALIDITY_MARGIN):
+    def validate(self):
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
         if not np.isfinite([a, b, c]).all():
             raise InvalidParametersError("a, b and c must be finite")
-        if abs(a * b * c) <= margin:
+        if abs(a * b * c) <= VALIDITY_MARGIN:
             raise InvalidParametersError(f"abc = {a * b * c} is too close to 0")
         lhs = (3 * a * b * c) ** 3
         rhs = (a ** 3 + b ** 3 + c ** 3) ** 3
-        if abs(lhs - rhs) <= margin:
+        if abs(lhs - rhs) <= VALIDITY_MARGIN:
             raise InvalidParametersError(
                 f"(3abc)^3 - (a^3+b^3+c^3)^3 = {lhs - rhs} is too close to 0"
             )
         return self
 
 
-def validate_s11c(c, margin: float = VALIDITY_MARGIN) -> complex:
+def validate_s11c(c) -> complex:
     """Validity of S(1,1,c): c, c^3 - 1 and c^3 + 8 all bounded away from 0."""
     c = complex(c)
     if not np.isfinite(c):
         raise InvalidParametersError("c must be finite")
-    if abs(c) <= margin:
+    if abs(c) <= VALIDITY_MARGIN:
         raise InvalidParametersError("c is too close to 0")
-    if abs(c ** 3 - 1.0) <= margin:
+    if abs(c ** 3 - 1.0) <= VALIDITY_MARGIN:
         raise InvalidParametersError("c^3 is too close to 1")
-    if abs(c ** 3 + 8.0) <= margin:
+    if abs(c ** 3 + 8.0) <= VALIDITY_MARGIN:
         raise InvalidParametersError("c^3 is too close to -8")
     return c
 
@@ -121,16 +123,21 @@ def presentation(params: SklyaninParams) -> Presentation:
     """The three defining relations a*yz + b*zy + c*x^2 and their cyclic
     shifts, with (a, b, c) numerically bound."""
     params.validate()
-    a, b, c = (complex(v) for v in (params.a, params.b, params.c))
+    return _relations(params.a, params.b, params.c)
+
+
+def s11c_presentation(c) -> Presentation:
+    """The relations of S(1,1,c), with c checked by ``validate_s11c`` alone."""
+    return _relations(1.0, 1.0, validate_s11c(c))
+
+
+def _relations(a, b, c) -> Presentation:
+    a, b, c = (complex(v) for v in (a, b, c))
     gens = ("x", "y", "z")
     return Presentation(gens, tuple(
         NcPoly(gens, terms={(j, k): a, (k, j): b, (i, i): c})
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ))
-
-
-def s11c_presentation(c) -> Presentation:
-    return presentation(SklyaninParams(1.0, 1.0, validate_s11c(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +437,6 @@ def _check_t4f4(env):
         raise ConstraintError("t4f4 requires z4 != y4*z3")
 
 
-def _check_nonzero(name, message):
-    def check(env):
-        if abs(env[name]) <= _CONSTRAINT_TOL:
-            raise ConstraintError(message)
-
-    return check
-
-
-def _no_constraint(env):
-    return None
-
-
 @dataclass(frozen=True)
 class RepFamily:
     """One table row: stable id, free parameters, side conditions, radical flag."""
@@ -453,87 +448,51 @@ class RepFamily:
     check: callable
 
 
-FAMILIES = {
-    f.id: f
-    for f in (
-        RepFamily(
-            "t1f1", ("y4", "z4"), True,
-            lambda e, s: _t1f12(e["c"], e["y4"], e["z4"], s), _no_constraint,
-        ),
-        RepFamily(
-            "t1f2", ("y4", "z4"), True,
-            lambda e, s: _t1f12(e["c"], e["y4"], e["z4"], -s), _no_constraint,
-        ),
-        RepFamily(
-            "t1f3", ("z2", "z3", "z4"), True,
-            lambda e, s: _t1f34(e["c"], e["z2"], e["z3"], e["z4"], s), _no_constraint,
-        ),
-        RepFamily(
-            "t1f4", ("z2", "z3", "z4"), True,
-            lambda e, s: _t1f34(e["c"], e["z2"], e["z3"], e["z4"], -s), _no_constraint,
-        ),
-        RepFamily(
-            "t1f5", ("y4", "z4"), False,
-            lambda e, s: _t1f5(e["c"], e["y4"], e["z4"]), _no_constraint,
-        ),
-        RepFamily(
-            "t2f1", ("y3", "y4", "z4"), False,
-            lambda e, s: _t2f1(e["c"], e["y3"], e["y4"], e["z4"]), _no_constraint,
-        ),
-        RepFamily(
-            "t2f2", ("x4", "y3"), False,
-            lambda e, s: _t2f2(e["c"], e["x4"], e["y3"]), _no_constraint,
-        ),
-        RepFamily(
-            "t2f3", ("y4", "z3", "z4"), False,
-            lambda e, s: _t2f3(e["c"], e["y4"], e["z3"], e["z4"]), _no_constraint,
-        ),
-        RepFamily(
-            "t2f4", ("x4", "z3"), False,
-            lambda e, s: _t2f4(e["c"], e["x4"], e["z3"]), _no_constraint,
-        ),
-        RepFamily(
-            "t2f5", ("y3", "y4", "z3", "z4"), True,
-            lambda e, s: _t2f56(e["c"], e["y3"], e["y4"], e["z3"], e["z4"], s),
-            _no_constraint,
-        ),
-        RepFamily(
-            "t2f6", ("y3", "y4", "z3", "z4"), True,
-            lambda e, s: _t2f56(e["c"], e["y3"], e["y4"], e["z3"], e["z4"], -s),
-            _no_constraint,
-        ),
-        RepFamily(
-            "t3f1", ("z2", "z3"), True,
-            lambda e, s: _t1f34(e["c"], e["z2"], e["z3"], 1.0, -s),
-            _check_nonzero("z3", "t3f1 requires z3 != 0"),
-        ),
-        RepFamily(
-            "t3f2", ("z4",), False,
-            lambda e, s: _t1f5(e["c"], 1.0, e["z4"]),
-            _check_nonzero("z4", "t3f2 requires z4 != 0"),
-        ),
-        RepFamily(
-            "t4f1", ("y4", "z4"), False,
-            lambda e, s: _t2f1(e["c"], 1.0, e["y4"], e["z4"]),
-            _check_nonzero("z4", "t4f1 requires z4 != 0"),
-        ),
-        RepFamily(
-            "t4f2", ("x4",), False,
-            lambda e, s: _t2f2(e["c"], e["x4"], 1.0),
-            _check_nonzero("x4", "t4f2 requires x4 != 0"),
-        ),
-        RepFamily(
-            "t4f3", ("y4", "z4"), False,
-            lambda e, s: _t2f3(e["c"], e["y4"], 1.0, e["z4"]),
-            _check_t4f3,
-        ),
-        RepFamily(
-            "t4f4", ("y4", "z3", "z4"), True,
-            lambda e, s: _t2f56(e["c"], 1.0, e["y4"], e["z3"], e["z4"], s),
-            _check_t4f4,
-        ),
-    )
-}
+def _rep_family(fid, builder, flip, fixed, side):
+    """The ``RepFamily`` of one ``_TABLE`` row; its free parameters and radical
+    flag come from the builder's signature ``(c, *params[, sign])``."""
+    params = tuple(inspect.signature(builder).parameters)[1:]
+    has_radical = params[-1] == "sign"
+    params = params[:-1] if has_radical else params
+    arguments = operator.itemgetter("c", *params)
+
+    def build(env, sign):
+        values = arguments(env if fixed is None else {**env, fixed: 1.0})
+        return builder(*values, -sign if flip else sign) if has_radical else builder(*values)
+
+    def check(env):
+        if callable(side):
+            side(env)
+        elif side is not None and abs(env[side]) <= _CONSTRAINT_TOL:
+            raise ConstraintError(f"{fid} requires {side} != 0")
+
+    return RepFamily(fid, tuple(p for p in params if p != fixed), has_radical, build, check)
+
+
+# One row per family of Tables 1-4: id, builder, whether it negates the
+# radical, the parameter a representative (Tables 3-4) fixes to 1.0, and the
+# side condition: a parameter that must be nonzero, or a check of env.
+_TABLE = (
+    ("t1f1", _t1f12, False, None, None),
+    ("t1f2", _t1f12, True, None, None),
+    ("t1f3", _t1f34, False, None, None),
+    ("t1f4", _t1f34, True, None, None),
+    ("t1f5", _t1f5, False, None, None),
+    ("t2f1", _t2f1, False, None, None),
+    ("t2f2", _t2f2, False, None, None),
+    ("t2f3", _t2f3, False, None, None),
+    ("t2f4", _t2f4, False, None, None),
+    ("t2f5", _t2f56, False, None, None),
+    ("t2f6", _t2f56, True, None, None),
+    ("t3f1", _t1f34, True, "z4", "z3"),
+    ("t3f2", _t1f5, False, "y4", "z4"),
+    ("t4f1", _t2f1, False, "y3", "z4"),
+    ("t4f2", _t2f2, False, "y3", "x4"),
+    ("t4f3", _t2f3, False, "z3", _check_t4f3),
+    ("t4f4", _t2f56, False, "y3", _check_t4f4),
+)
+
+FAMILIES = {row[0]: _rep_family(*row) for row in _TABLE}
 
 REPRESENTATIVE_IDS = ("t3f1", "t3f2", "t4f1", "t4f2", "t4f3", "t4f4")
 

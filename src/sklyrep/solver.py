@@ -385,8 +385,8 @@ def _gauss_newton_batch(system, U0, chart=None, converged=CONVERGE_RESIDUAL, max
     return U, rn, rn <= converged
 
 
-def _disk_samples(rng, shape, radius=2.0):
-    radii = radius * np.sqrt(rng.uniform(size=shape))
+def _disk_samples(rng, shape):
+    radii = 2.0 * np.sqrt(rng.uniform(size=shape))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
     return radii * np.exp(1j * angles)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,8 @@ from sklyrep.sklyanin import (
     xc_gradient,
     xc_slice,
 )
-from sklyrep.solver import _build_system
+from sklyrep.cli import main as cli_main
+from sklyrep.solver import SolveTask, _build_system, solve_reps
 
 from conftest import random_conjugator, random_param, random_valid_c, sample_family
 
@@ -63,6 +66,55 @@ def test_invalid_parameters_rejected():
     with pytest.raises(InvalidParametersError):
         validate_s11c(-2.0)  # c^3 = -8
     validate_s11c(2.0)
+
+
+_OMEGA = np.exp(2j * np.pi / 3.0)
+# c near 0, the cube roots of 1 and the cube roots of -8, on both sides of the
+# 1e-6 margin of validate_s11c; 1.0001 is |c^3 - 1| = 3e-4, where the
+# discriminant of S(1,1,c), -(c^3-1)^2 (c^3+8), is 8e-7, below that margin
+C_GRID = [0.0, 5e-7, 1e-6j, 2e-6, 1e-3, 1.0001, float("inf"), complex(0.0, float("nan"))] + [
+    root * (1.0 + d)
+    for root in (1.0, _OMEGA, _OMEGA ** 2, -2.0, -2.0 * _OMEGA, -2.0 * _OMEGA ** 2)
+    for d in (0.0, 1e-7, -2e-7j, 4e-7, 1e-6, 1e-5j, 1e-4, -1e-4, 3e-4, 1e-3)
+]
+
+
+def _accepts(call):
+    try:
+        call()
+    except InvalidParametersError as exc:
+        assert re.match(r"c( |\^3 )", str(exc)), str(exc)
+        return False
+    return True
+
+
+def test_one_validity_rule_for_c():
+    verdicts = [
+        (
+            _accepts(lambda: validate_s11c(c)),
+            _accepts(lambda: SolveTask("sklyanin", "one_block", c=c)),
+            _accepts(lambda: s11c_presentation(c)),
+            _accepts(lambda: family("t4f2", {"c": c, "x4": 1.0})),
+        )
+        for c in C_GRID
+    ]
+    assert all(len(set(v)) == 1 for v in verdicts), [
+        (c, v) for c, v in zip(C_GRID, verdicts) if len(set(v)) > 1
+    ]
+    rule = [np.isfinite(c) and min(abs(c), abs(c ** 3 - 1), abs(c ** 3 + 8)) > 1e-6
+            for c in C_GRID]
+    assert [v[0] for v in verdicts] == rule
+    assert 10 < sum(rule) < len(C_GRID) - 10 and rule[C_GRID.index(1.0001)]
+
+
+def test_solve_accepts_c_near_a_cube_root_of_1(capsys):
+    task = SolveTask("sklyanin", "one_block", c=1.0001, num_starts=1)
+    assert solve_reps(task).task is task
+    argv = ["solve", "--algebra", "sklyanin", "--jordan", "one", "--starts", "1", "--c"]
+    assert cli_main([*argv, "1.0001"]) == 0
+    capsys.readouterr()
+    assert cli_main([*argv, "1.0000001"]) == 2
+    assert capsys.readouterr().err == "error: c^3 is too close to 1\n"
 
 
 # --- the curve and sigma ------------------------------------------------------
