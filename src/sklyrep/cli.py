@@ -13,9 +13,11 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -83,8 +85,32 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
+def _json_text(obj, indent="\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, a list of
+    finite floats in one pass; scalars but finite floats and ints by ``json.dumps``."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            return f"[{inner}{(',' + inner).join(map(float.__repr__, obj))}{indent}]"
+        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in obj])}{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # a key that is not a string is written, or refused, as json does
+        items = [(encode_basestring_ascii(key) if isinstance(key, str)
+                  else json.dumps({key: 0})[1:-4]) + ": " + _json_text(value, inner)
+                 for key, value in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    return int.__repr__(obj) if type(obj) is int else json.dumps(obj)
+
+
 def _emit_json(obj, output):
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", output)
+    _emit(_json_text(obj) + "\n", output)
 
 
 def _default_seed():

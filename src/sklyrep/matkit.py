@@ -8,21 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_RTOL", "rank", "nullspace", "is_scalar"]
+__all__ = ["DEFAULT_RTOL", "rank", "nullspace"]
 
 DEFAULT_RTOL = 1e-8
 
 
 def _as_cmat(m):
     return np.asarray(m, dtype=complex)
-
-
-def is_scalar(m, rtol=DEFAULT_RTOL) -> bool:
-    """True when ``m`` is within tolerance of a multiple of the identity."""
-    m = _as_cmat(m)
-    n = m.shape[0]
-    lam = np.trace(m) / n
-    return np.linalg.norm(m - lam * np.eye(n)) <= rtol * (1.0 + np.linalg.norm(m))
 
 
 def _sqrt_pair(z):

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .freealg import NcPoly, eval_ncpoly
-from .matkit import DEFAULT_RTOL, is_scalar, nullspace
+from .matkit import DEFAULT_RTOL, nullspace
 
 __all__ = [
     "Presentation",
@@ -193,15 +194,6 @@ def is_irreducible_burnside(rep, tol: float = DEFAULT_RTOL):
     return bool(verdicts[0]) if isinstance(rep, Rep) else verdicts
 
 
-def _is_invariant_line(v, mats, tol):
-    for m in mats:
-        mv = m @ v
-        residual = mv - (np.vdot(v, mv)) * v
-        if np.linalg.norm(residual) > tol * (1.0 + np.linalg.norm(m)):
-            return False
-    return True
-
-
 def central_values(pres: Presentation, words, rep, tol: float):
     """Scalar values tr(w)/n of central elements ``words`` on a solution rep.
 
@@ -246,34 +238,35 @@ def find_invariant_line(rep: Rep, tol: float = DEFAULT_RTOL):
 
     A common invariant line must be an eigenline of every non-scalar
     image, so the candidates are the eigenlines of each non-scalar image
-    (any unit vector if every image is scalar).  Returns a unit vector
-    spanning the line, or None.
+    (any unit vector if every image is scalar).  Returns the first, in image
+    order, that spans an invariant line of every image, as a unit vector;
+    all are tested in one stacked product, rounded as one at a time.
     """
     if rep.n != 2:
         raise ValueError("find_invariant_line supports n = 2 only")
-    mats = list(rep.images.values())
-    candidates = []
-    for m in mats:
-        if is_scalar(m, tol):
-            continue
-        t = m[0, 0] + m[1, 1]
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = np.sqrt(t * t - 4.0 * d + 0j)
-        for lam in ((t + disc) / 2.0, (t - disc) / 2.0):
-            b = m - lam * np.eye(2)
-            # adjugate columns span the kernel of a singular 2x2
-            adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=complex)
-            col = max((adj[:, 0], adj[:, 1]), key=np.linalg.norm)
-            nrm = np.linalg.norm(col)
-            if nrm > 0:
-                candidates.append(col / nrm)
-    if not candidates:
+    mats = _image_stack(rep)
+    t = mats[:, 0, 0] + mats[:, 1, 1]
+    norms, spread = _frobenius(np.array([mats, mats - (t / 2)[:, None, None] * np.eye(2)]))
+    m, t = mats[keep := ~(spread <= tol * (1.0 + norms))], t[keep]
+    lhs, rhs = np.array([t, m[:, 0, 0], m[:, 0, 1]]), np.array([t, m[:, 1, 1], m[:, 1, 0]])
+    # t^2, ad and bc rounded as Python's complex products: numpy's loops fuse them
+    tt, ad, bc = (lhs.astype(object) * rhs.astype(object)).astype(complex)
+    disc = np.sqrt(tt - 4.0 * (ad - bc) + 0j)
+    shifted = m[:, None] - (np.array([t + disc, t - disc]).T / 2.0)[..., None, None] * np.eye(2)
+    # the adjugate's columns (b11, -b10) and (-b01, b00) span the kernel of a singular b
+    signed = np.concatenate([shifted, -shifted], -1)
+    cols = signed[..., [1, 1, 0, 0], [1, 2, 3, 0]].reshape(-1, 2, 2)
+    col_norms = _frobenius(cols[..., None])
+    larger = (np.arange(len(cols)), (col_norms[:, 1] > col_norms[:, 0]).astype(int))
+    nrm = col_norms[larger]
+    cands = cols[larger][nrm > 0] / nrm[nrm > 0, None]
+    if not len(cands):
         # every image is scalar: any line is invariant
         return np.array([1.0, 0.0], dtype=complex)
-    for v in candidates:
-        if _is_invariant_line(v, mats, tol):
-            return v
-    return None
+    images = mats @ cands[:, None, :, None]
+    residual = images - (cands.conj()[:, None, None, :] @ images) * cands[:, None, :, None]
+    invariant = ~(_frobenius(residual) > tol * (1.0 + norms)).any(axis=1)
+    return cands[invariant.argmax()] if invariant.any() else None
 
 
 def fingerprint(rep) -> np.ndarray:
@@ -668,16 +661,21 @@ def _json_complex(pair):
     numbers = isinstance(pair, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
     )
-    if numbers and len(pair) == 2 and cmath.isfinite(z := complex(*pair)):
-        return z
-    return None
+    try:
+        z = complex(*pair) if numbers and len(pair) == 2 else None
+    except OverflowError:  # an int beyond the float range
+        z = None
+    return z if z is not None and cmath.isfinite(z) else None
 
 
 def _bad_entry(field, pair):
     return ValueError(f"{field}: expected a finite [re, im] pair of numbers, got {pair!r}")
 
 
-def _matrix_from_json(rows, n, field):
+def _matrix_from_json(matrices, g, n):
+    if g not in matrices:
+        raise ValueError(f"matrix for generator {g!r} missing")
+    rows, field = matrices[g], f"matrices.{g}"
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{field}: expected a list of rows")
     widths = sorted({len(row) for row in rows})
@@ -694,6 +692,22 @@ def _matrix_from_json(rows, n, field):
             j = row.index(None)
             raise _bad_entry(f"{field}[{i}][{j}]", rows[i][j])
     return np.array(values, dtype=complex)
+
+
+def _images_from_json(mats, n):
+    """The (k, n, n) stack of k JSON matrices from one ``np.array`` call, or
+    None unless all are n x n lists of lists of finite [int|float, int|float]."""
+    try:
+        stack = np.array(mats)
+    except ValueError:  # ragged
+        return None
+    if stack.shape == (len(mats), n, n, 2) and stack.dtype.kind in "if":
+        pairs = list(chain.from_iterable(rows := list(chain.from_iterable(mats))))
+        # no tuples, bools, numeric strings or number subclasses
+        if set(map(type, chain(mats, rows, pairs, *pairs))) <= {list, int, float}:
+            stack = stack.astype(float, copy=False)
+            return stack.view(complex)[..., 0] if np.isfinite(stack).all() else None
+    return None
 
 
 def _matrix_to_json(m):
@@ -744,14 +758,12 @@ def rep_from_json(data: dict) -> Rep:
     for name, value in (("matrices", matrices), ("params", params)):
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected a JSON object, got {type(value).__name__}")
-    images = {}
-    for g in gens:
-        if g not in matrices:
-            raise ValueError(f"matrix for generator {g!r} missing")
-        images[g] = _matrix_from_json(matrices[g], n, f"matrices.{g}")
+    images = _images_from_json([matrices.get(g) for g in gens], n)
+    if images is None:
+        images = [_matrix_from_json(matrices, g, n) for g in gens]
     env = {}
     for k, v in params.items():
         env[k] = _json_complex(v)
         if env[k] is None:
             raise _bad_entry(f"params.{k}", v)
-    return Rep(n, images, env)
+    return Rep(n, dict(zip(gens, images)), env)

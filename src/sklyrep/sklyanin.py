@@ -630,17 +630,18 @@ def xc_slice(c, u1, grid) -> str:
     for name, value in (("c", c), ("u1", u1)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
-    axis = np.linspace(float(lo), float(hi), int(steps)).tolist()
-    lines = ["u2,u3,value"]
-    for u2 in axis:
-        for u3 in axis:
-            val = c ** 2 * (u1 ** 3 + u2 ** 3 + u3 ** 3) + (c ** 3 - 4.0) * u1 * u2 * u3
-            if not np.isfinite(val):
-                raise OverflowError(f"the value at u2={u2:.17g}, u3={u3:.17g} overflows")
-            lines.append(
-                "%.17g,%.17g,%.17g" % (u2, u3, np.sqrt(val + 0j).real)
-            )
-    return "\n".join(lines) + "\n"
+    axis = np.linspace(float(lo), float(hi), int(steps))
+    u = axis.astype(object)  # Python's own arithmetic, on arrays of Python floats
+    with np.errstate(all="ignore"):
+        val = c ** 2 * (u1 ** 3 + u[:, None] ** 3 + u ** 3) + (c ** 3 - 4.0) * u1 * u[:, None] * u
+    val = val.astype(complex)
+    bad = np.flatnonzero(~np.isfinite(val))
+    if len(bad):
+        i, j = divmod(int(bad[0]), len(axis))
+        raise OverflowError(f"the value at u2={axis[i]:.17g}, u3={axis[j]:.17g} overflows")
+    rows = zip(np.repeat(axis, len(axis)).tolist(), np.tile(axis, len(axis)).tolist(),
+               np.sqrt(val.ravel() + 0j).real.tolist())
+    return "u2,u3,value\n" + "\n".join(map("%.17g,%.17g,%.17g".__mod__, rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,54 @@ def central_values_reference(pres, words, rep, tol):
     return values
 
 
+def invariant_line_reference(rep, tol):
+    """Common invariant line of a 2x2 representation, candidate by candidate
+    and image by image: the reference for ``reptheory.find_invariant_line``."""
+    mats = list(rep.images.values())
+    candidates = []
+    for m in mats:
+        if np.linalg.norm(m - np.trace(m) / 2 * np.eye(2)) <= tol * (1.0 + np.linalg.norm(m)):
+            continue  # a scalar image
+        t = m[0, 0] + m[1, 1]
+        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        disc = np.sqrt(t * t - 4.0 * d + 0j)
+        for lam in ((t + disc) / 2.0, (t - disc) / 2.0):
+            b = m - lam * np.eye(2)
+            adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=complex)
+            col = max((adj[:, 0], adj[:, 1]), key=np.linalg.norm)
+            nrm = np.linalg.norm(col)
+            if nrm > 0:
+                candidates.append(col / nrm)
+    if not candidates:
+        return np.array([1.0, 0.0], dtype=complex)
+    for v in candidates:
+        invariant = True
+        for m in mats:
+            mv = m @ v
+            residual = mv - (np.vdot(v, mv)) * v
+            if np.linalg.norm(residual) > tol * (1.0 + np.linalg.norm(m)):
+                invariant = False
+                break
+        if invariant:
+            return v
+    return None
+
+
+def xc_slice_reference(c, u1, grid):
+    """The slice CSV point by point in Python's complex arithmetic: the
+    reference for ``sklyanin.xc_slice`` on valid arguments."""
+    lo, hi, steps = grid
+    c, u1 = complex(c), complex(u1)
+    lines = ["u2,u3,value"]
+    for u2 in np.linspace(float(lo), float(hi), int(steps)).tolist():
+        for u3 in np.linspace(float(lo), float(hi), int(steps)).tolist():
+            val = c ** 2 * (u1 ** 3 + u2 ** 3 + u3 ** 3) + (c ** 3 - 4.0) * u1 * u2 * u3
+            if not np.isfinite(val):
+                raise OverflowError(f"the value at u2={u2:.17g}, u3={u3:.17g} overflows")
+            lines.append("%.17g,%.17g,%.17g" % (u2, u3, np.sqrt(val + 0j).real))
+    return "\n".join(lines) + "\n"
+
+
 def rounded_key_reference(values):
     """The ordering key of one row, element by element: the reference for
     ``solver._rounded_keys``."""

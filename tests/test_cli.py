@@ -5,13 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from sklyrep import solver
+from sklyrep import cli, solver
 from sklyrep.cli import main, parse_complex
 from sklyrep.reptheory import Rep, conjugate_rep, rep_to_json
-from sklyrep.sklyanin import family
+from sklyrep.sklyanin import FAMILIES, REPRESENTATIVE_IDS, family
 from sklyrep.skewpoly import SkewRepSpec, skew_rep
 
-from conftest import subprocess_env
+from conftest import random_conjugator, random_valid_c, sample_family, subprocess_env
 
 
 def run_cli(args, **env):
@@ -479,6 +479,99 @@ def test_classify_overflow_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == "error: --input: values too large, the arithmetic overflows\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_integer_entry_beyond_the_float_range_names_the_field(tmp_path, capsys, command):
+    data = _trivial_rep_json()
+    data["matrices"]["x"] = [[[10 ** 400, 0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data if command == "verify" else [data]))
+    flag = "--rep" if command == "verify" else "--input"
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("error: matrices.x[0][0]: expected a finite [re, im] pair of "
+                            f"numbers, got [{10 ** 400}, 0]\n")
+
+
+def _cli_complex(z):
+    return "%.17g%+.17gi" % (z.real, z.imag)
+
+
+def test_json_writer_equals_json_dumps_on_every_payload(tmp_path, monkeypatch, capsys):
+    payloads = []
+    emit_json = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json",
+                        lambda obj, output: (payloads.append(obj), emit_json(obj, output))[1])
+    rng = np.random.default_rng(29)
+    argvs = []
+    for fid in FAMILIES:
+        env = sample_family(fid, rng, branch="principal").env
+        argvs.append(["verify", "--family", fid, "--set",
+                      ",".join(f"{k}={_cli_complex(v)}" for k, v in env.items())])
+    member = family("t3f2", {"c": 2.0, "z4": 0.7})
+    reps = [conjugate_rep(sample_family(fid, rng), random_conjugator(rng))
+            for fid in REPRESENTATIVE_IDS]
+    reps += [Rep(3, {g: np.pad(m, ((0, 1), (0, 1))) for g, m in member.images.items()},
+                 dict(member.env)),  # no central character: the centre mixes two points
+             skew_rep(SkewRepSpec("two_dim", 0.8, -1.2)),
+             Rep(2, {g: rng.standard_normal((2, 2)) for g in "xyz"}, {"c": 2.0})]
+    for k, rep in enumerate(reps):
+        path = tmp_path / f"rep{k}.json"
+        path.write_text(json.dumps(rep_to_json(rep)))
+        argvs.append(["verify", "--rep", str(path)])
+    items = [rep_to_json(conjugate_rep(rep, random_conjugator(rng)))
+             for rep in (member, member, member, family("t4f2", {"c": 2.0, "x4": 0.8}))]
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps(items))
+    argvs.append(["classify", "--input", str(path)])
+    for seed in range(3):
+        argvs.append(["sigma", "--a", "1", "--b", "1", "--c",
+                      _cli_complex(random_valid_c(rng)), "--seed", str(seed)])
+    argvs.append(["solve", "--algebra", "skew", "--jordan", "two", "--starts", "12"])
+    argvs.append(["solve", "--algebra", "sklyanin", "--c", "5", "--jordan", "one",
+                  "--starts", "12"])
+    assert [main(argv) for argv in argvs].count(1) == 1  # the random rep fails verification
+    texts = [json.dumps(obj, indent=2, sort_keys=True) for obj in payloads]
+    assert capsys.readouterr().out == "".join(text + "\n" for text in texts)
+    assert len(payloads) == len(argvs)
+    assert sum("central_character_error" in obj for obj in payloads) == 1
+    assert [cli._json_text(obj) for obj in payloads] == texts
+
+
+@pytest.mark.parametrize("obj", [
+    [float("nan"), float("inf"), -float("inf"), 1.5],
+    {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")},
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-7, 0.1, -1.5e300],
+    [10 ** 30, -(2 ** 63), 0, True, False, None],
+    [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+    [],
+    {},
+    {"é\u2603\U0001f600": "naïve \"quoted\" \\ back\nnew\tline \x00 \ud800"},
+    [np.float64(0.1), np.float64(-0.0), np.float64("nan"), [np.float64(1e16), 2.0]],
+    np.float64(3.5),
+    ("tuple", (1.0, 2.0), [(), (3,)]),
+    {"z": 1, "a": {"y": [1.0, 2], "b": None}, "m": [1.0, float("inf")]},
+    {2: "two", 1.5: "float", True: "bool", -1: "int"},
+    {None: 0},
+    "plain",
+    -7,
+], ids=["non_finite", "non_finite_values", "floats", "ints_bools_none", "empty_nested",
+        "empty_list", "empty_dict", "strings", "numpy_floats", "numpy_scalar", "tuples",
+        "key_order", "number_keys", "none_key", "string", "int"])
+def test_json_writer_equals_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [[np.int64(1)], {"a": {1, 2}}, {(1, 2): 3}, {"a": 1, 2: "b"}],
+                         ids=["numpy_int", "set", "tuple_key", "mixed_keys"])
+def test_json_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        cli._json_text(obj)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_reused_parser_matches_fresh_processes(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from sklyrep.matkit import is_scalar, nullspace, rank
+from sklyrep.matkit import nullspace, rank
 
 
 def test_rank_basic():
@@ -53,8 +53,3 @@ def test_nullspace_of_self_intertwiner_contains_identity(rng):
     target = eye.ravel() / np.linalg.norm(eye.ravel())
     proj = span @ (span.conj().T @ target)
     assert np.linalg.norm(proj - target) <= 1e-8
-
-
-def test_is_scalar():
-    assert is_scalar(3.0 * np.eye(2))
-    assert not is_scalar(np.array([[1.0, 0.0], [0.0, 2.0]]))

@@ -29,12 +29,19 @@ from sklyrep.reptheory import (
     rep_from_json,
     rep_to_json,
 )
-from sklyrep.sklyanin import FAMILIES, center_words, family, s11c_presentation
+from sklyrep.sklyanin import (
+    FAMILIES,
+    REPRESENTATIVE_IDS,
+    center_words,
+    family,
+    s11c_presentation,
+)
 from sklyrep.skewpoly import _CENTER_WORDS, SkewRepSpec, skew_presentation, skew_rep
 from sklyrep.solver import SolveTask, _kept_solutions
 
 from conftest import (
     central_values_reference,
+    invariant_line_reference,
     random_conjugator,
     random_valid_c,
     sample_family,
@@ -676,6 +683,77 @@ def test_rep_json_missing_matrix_rejected():
         rep_from_json(data)
 
 
+def _json_corpus(rng):
+    """Valid representation schemas: conjugated family members and skew
+    representations as ``rep_to_json`` writes them, and integer, mixed and
+    signed-zero entries, in dimensions 1 to 3."""
+    corpus = [rep_to_json(conjugate_rep(sample_family(fid, rng), random_conjugator(rng)))
+              for fid in FAMILIES for _ in range(6)]
+    corpus += [rep_to_json(skew_rep(SkewRepSpec("two_dim", *rng.standard_normal(2))))
+               for _ in range(10)]
+    for k in range(120):
+        n = 1 + k % 3
+        ints = rng.integers(-2 ** 62, 2 ** 62, (3, n, n, 2)) >> int(rng.integers(0, 62))
+        mats = ints.tolist()
+        if k % 2:  # mixed: floats, signed zeros, one int above the int64 range
+            mats[0][0][0] = [float(rng.standard_normal()), -0.0]
+            mats[-1][-1][-1] = [-0.0, 2 ** 63 + 2 ** 11 * k]
+        corpus.append({"n": n, "generators": ["x", "y", "z"], "params": {"c": [k, -0.0]},
+                       "matrices": dict(zip("xyz", mats))})
+    return [json.loads(json.dumps(data)) for data in corpus]
+
+
+def test_rep_from_json_converts_like_the_entry_walk(rng):
+    for data in _json_corpus(rng):
+        n, gens = data["n"], data["generators"]
+        assert reptheory._images_from_json([data["matrices"][g] for g in gens], n) is not None
+        rep = rep_from_json(data)
+        assert rep.generators == tuple(gens)
+        for g in gens:
+            walk = reptheory._matrix_from_json(data["matrices"], g, n)
+            assert rep.images[g].dtype == complex and rep.images[g].tobytes() == walk.tobytes()
+
+
+def _set_entry(g, i, j, value):
+    def corrupt(data):
+        data["matrices"][g][i][j] = value
+    return corrupt
+
+
+_BAD_PAIR = "expected a finite [re, im] pair of numbers, got"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_entry("y", 1, 0, [True, 0.0]), f"matrices.y[1][0]: {_BAD_PAIR} [True, 0.0]"),
+    (_set_entry("x", 0, 1, ["1.5", 0.0]), f"matrices.x[0][1]: {_BAD_PAIR} ['1.5', 0.0]"),
+    (_set_entry("x", 1, 1, [1.0]), f"matrices.x[1][1]: {_BAD_PAIR} [1.0]"),
+    (_set_entry("y", 0, 0, [1.0, 2.0, 3.0]), f"matrices.y[0][0]: {_BAD_PAIR} [1.0, 2.0, 3.0]"),
+    (_set_entry("y", 1, 1, [0.0, float("nan")]), f"matrices.y[1][1]: {_BAD_PAIR} [0.0, nan]"),
+    (_set_entry("x", 0, 0, [float("-inf"), 0]), f"matrices.x[0][0]: {_BAD_PAIR} [-inf, 0]"),
+    (_set_entry("x", 1, 0, {"re": 1.0}), f"matrices.x[1][0]: {_BAD_PAIR} {{'re': 1.0}}"),
+    (_set_entry("y", 0, 1, [10 ** 400, 0]), f"matrices.y[0][1]: {_BAD_PAIR} [{10 ** 400}, 0]"),
+    (_set_entry("x", 0, 0, None), f"matrices.x[0][0]: {_BAD_PAIR} None"),
+    (lambda data: data["matrices"]["x"].__setitem__(1, [[0.0, 0.0]]),
+     "matrices.x: ragged matrix, row lengths [2, 1]"),
+    (lambda data: data["matrices"].__setitem__("y", [[[0.0, 0.0]] * 3] * 2),
+     "matrices.y: 2x3 matrix is not square"),
+    (lambda data: data["matrices"]["x"].__setitem__(0, "row"), "matrices.x: expected a list of rows"),
+    (lambda data: data["matrices"].__setitem__("y", (((0, 0), (0, 0)), ((0, 0), (0, 0)))),
+     "matrices.y: expected a list of rows"),
+    (lambda data: data.__setitem__("n", 3), "n: 3 disagrees with the 2x2 matrix matrices.x"),
+    (lambda data: data["matrices"].pop("y"), "matrix for generator 'y' missing"),
+], ids=["bool", "numeric_string", "one_element_pair", "three_element_pair", "nan", "infinity",
+        "dict_entry", "huge_int", "null", "ragged", "not_square", "row_not_a_list",
+        "tuples", "wrong_n", "missing_generator"])
+def test_rep_from_json_keeps_the_entry_walk_messages(corrupt, message):
+    data = {"n": 2, "generators": ["x", "y"], "params": {"c": [2.0, 0.0]},
+            "matrices": {g: [[[0.5, -0.0], [1, 2]], [[3.0, 0], [-1.5, 2.5]]] for g in "xy"}}
+    corrupt(data)
+    with pytest.raises(ValueError) as exc:
+        rep_from_json(data)
+    assert str(exc.value) == message
+
+
 def _bfs_span_rank(mats, n, tol=1e-8):
     """Rank of the span of all words of length <= n^2 - 1, built length by
     length with an early exit at full rank (reference)."""
@@ -745,6 +823,64 @@ def test_burnside_and_invariant_line_agree_on_mixed_samples(rng):
                 random_conjugator(rng),
             )
         assert is_irreducible_burnside(rep) == (find_invariant_line(rep) is None)
+
+
+def _invariant_line_cases(rng):
+    """(rep, tol) pairs: conjugated members of the representative families,
+    upper-triangular reducibles as they are and conjugated, scalar and
+    near-scalar images, skew representations and random triples."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def conj(rep):
+        return conjugate_rep(rep, random_conjugator(rng))
+
+    cases = []
+    for fid in REPRESENTATIVE_IDS:
+        cases += [(conj(sample_family(fid, rng)), 1e-8) for _ in range(100)]
+        cases += [(sample_family(fid, rng), 1e-8) for _ in range(20)]
+    for k in range(500):
+        mats = np.triu(cplx(3, 2, 2))
+        if k % 5 == 0:  # equal diagonals: one eigenline per image
+            mats[:, 1, 1] = mats[:, 0, 0]
+        if k % 7 == 0:  # real entries with signed zeros
+            mats = np.triu(rng.standard_normal((3, 2, 2))) * -1.0 + 0j
+        rep = Rep(2, dict(zip("xyz", mats)), {"c": 2.0})
+        cases.append((conj(rep) if k % 4 else rep, 1e-8))
+    for k in range(300):
+        lam = cplx(3)
+        mats = lam[:, None, None] * np.eye(2)
+        eps = 10.0 ** rng.uniform(-11, -5, 3)
+        mats = mats + (eps * (k % 3 != 0))[:, None, None] * cplx(3, 2, 2)
+        mats[: k % 4] = lam[: k % 4, None, None] * np.eye(2)
+        rep = Rep(2, dict(zip("xyz", mats)), {"c": 2.0})
+        cases.append((conj(rep) if k % 2 else rep, (1e-8, 1e-6, 1e-12)[k % 3]))
+    for k in range(400):
+        alpha, beta = cplx(2)
+        if k % 4 == 0:
+            alpha = 0.0
+        elif k % 4 == 1:
+            beta = 0.0
+        rep = skew_rep(SkewRepSpec("two_dim", alpha, beta))
+        cases.append((conj(rep) if k % 3 else rep, 1e-8))
+    cases += [(Rep(2, dict(zip("xyz", cplx(3, 2, 2))), {}), 1e-8) for _ in range(200)]
+    cases += [(Rep(2, dict(zip("xyz", np.zeros((3, 2, 2)))), {}), 1e-8)]
+    return cases
+
+
+def test_invariant_line_equals_the_per_candidate_search(rng):
+    cases = _invariant_line_cases(rng)
+    assert len(cases) >= 2000
+    found = 0
+    for rep, tol in cases:
+        reference = invariant_line_reference(rep, tol)
+        line = find_invariant_line(rep, tol)
+        if reference is None:
+            assert line is None
+        else:
+            found += 1
+            assert line.dtype == complex and line.tobytes() == reference.tobytes()
+    assert 500 < found < len(cases) - 500
 
 
 def _burnside_cases(rng):

@@ -43,7 +43,13 @@ from sklyrep.sklyanin import (
 from sklyrep.cli import main as cli_main
 from sklyrep.solver import SolveTask, _build_system, solve_reps
 
-from conftest import random_conjugator, random_param, random_valid_c, sample_family
+from conftest import (
+    random_conjugator,
+    random_param,
+    random_valid_c,
+    sample_family,
+    xc_slice_reference,
+)
 
 
 # --- parameters and presentation ---------------------------------------------
@@ -450,6 +456,23 @@ def test_xc_slice_csv():
     assert abs(rows[("0", "0")]) == 0.0
     with pytest.raises(ValueError):
         xc_slice(5.0, 0.0, (0.0, 1.0, 0))
+
+
+def test_xc_slice_equals_the_per_point_arithmetic(rng):
+    for k in range(300):
+        c = random_valid_c(rng, 0.05, 30.0) if k % 2 else complex(rng.standard_normal(), 0.0)
+        u1 = float(rng.uniform(-3.0, 3.0)) if k % 3 else 0.0
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, 2)) if k % 5 else (-1.0, 1.0)
+        grid = (lo, hi, int(rng.integers(1, 30)))
+        assert xc_slice(c, u1, grid) == xc_slice_reference(c, u1, grid), (c, u1, grid)
+    # (c^3 - 4) u1 u2 overflows before its product with u3 = 0 does, so the
+    # first failing point in u2-major order is (u2, u3) = (1e30 / 3, 0)
+    with pytest.raises(OverflowError) as exc:
+        xc_slice(1e100, 1e-10, (0.0, 1e30, 4))
+    with pytest.raises(OverflowError) as expected:
+        xc_slice_reference(1e100, 1e-10, (0.0, 1e30, 4))
+    assert str(exc.value) == str(expected.value) == \
+        "the value at u2=3.3333333333333332e+29, u3=0 overflows"
 
 
 def test_center_char_dataclass_point():
