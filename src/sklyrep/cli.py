@@ -171,7 +171,7 @@ def _verify_payload(rep, tol):
         # a non-scalar centre (a reducible rep mixing points) has no character;
         # the verdict stands and the reason is reported beside the null
         try:
-            char = algebra.character(rep, max(tol, 1e-7))
+            char = algebra.character(rep, max(tol, 1e-7), residual)
             payload["central_character"] = {
                 k: _complex_to_pair(v) if isinstance(v, complex) else v for k, v in char.items()
             }

@@ -90,9 +90,11 @@ class Algebra:
     where ``env`` is outside the algebra's parameter space.
     ``presentation(env)``, ``center_words(env)``: the relations, and the
     central elements whose values are the central character.
-    ``character(rep, tol)``: the character ``verify`` reports, a dict of
-    complex values and float diagnostics (``ValueError`` where the centre is
-    not scalar).  ``candidates(env, jordan_kind, rep, char)``: the family
+    ``character(rep, tol, residual=None)``: the character ``verify``
+    reports, a dict of complex values and float diagnostics (``ValueError``
+    where the centre is not scalar); ``residual``, the rep's
+    ``relation_residual`` where the caller has it, spares computing it
+    again.  ``candidates(env, jordan_kind, rep, char)``: the family
     members to match a 2-dimensional irreducible solution of character
     ``char`` against, in order, as ``(fid, params, leg, shear)``; ``leg`` is
     None, or the member ``(fid, params)`` that the solution is conjugate to
@@ -194,7 +196,7 @@ def is_irreducible_burnside(rep, tol: float = DEFAULT_RTOL):
     return bool(verdicts[0]) if isinstance(rep, Rep) else verdicts
 
 
-def central_values(pres: Presentation, words, rep, tol: float):
+def central_values(pres: Presentation, words, rep, tol: float, residual=None):
     """Scalar values tr(w)/n of central elements ``words`` on a solution rep.
 
     The representation must satisfy the relations of ``pres`` to within
@@ -206,7 +208,10 @@ def central_values(pres: Presentation, words, rep, tol: float):
 
     A stack of images (count, k, n, n) in the order of ``pres.generators``
     gives the values (count, len(words)) and the mask (count,) of the
-    representations that pass both tests, and raises nothing.
+    representations that pass both tests, and raises nothing.  A caller
+    that has computed ``relation_residual(pres, rep)`` passes it as
+    ``residual`` (a float for a Rep, an array for a stack), and it is not
+    computed again.
     """
     stack = _image_stack(rep, pres.generators)
     stack = stack[None] if isinstance(rep, Rep) else stack
@@ -218,7 +223,7 @@ def central_values(pres: Presentation, words, rep, tol: float):
     # these decide the tests, and a message quotes one matrix's norms
     deviation = np.linalg.norm(images - values[..., None, None] * np.eye(n), axis=(-2, -1))
     scalar = ~(deviation > tol * (1.0 + np.linalg.norm(images, axis=(-2, -1))))
-    res = relation_residual(pres, stack)
+    res = relation_residual(pres, stack) if residual is None else np.atleast_1d(residual)
     if not isinstance(rep, Rep):
         return values, scalar.all(axis=1) & ~(res > tol)
     if res[0] > tol:

@@ -61,13 +61,15 @@ def skew_rep(spec: SkewRepSpec) -> Rep:
     raise ValueError(f"unknown kind {spec.kind!r}")
 
 
-def skew_center_point(rep: Rep, tol: float = DEFAULT_RTOL):
+def skew_center_point(rep: Rep, tol: float = DEFAULT_RTOL, residual=None):
     """Values (u1, u2) of the central generators x^2, y^2 on a solution rep.
 
     Each central image must be scalar to within ``tol``, on reducible reps
-    too; otherwise a ``ValueError`` is raised.
+    too; otherwise a ``ValueError`` is raised.  ``residual`` is the rep's
+    ``relation_residual`` where the caller has it
+    (``reptheory.central_values``).
     """
-    return tuple(central_values(_PRESENTATION, _CENTER_WORDS, rep, tol))
+    return tuple(central_values(_PRESENTATION, _CENTER_WORDS, rep, tol, residual))
 
 
 def _candidates(env, jordan_kind, rep, char):
@@ -82,7 +84,8 @@ ALGEBRA = Algebra(
     validate=lambda env: None,
     presentation=lambda env: skew_presentation(),
     center_words=lambda env: _CENTER_WORDS,
-    character=lambda rep, tol: dict(zip(("u1", "u2"), skew_center_point(rep, tol=tol))),
+    character=lambda rep, tol, residual=None: dict(
+        zip(("u1", "u2"), skew_center_point(rep, tol, residual))),
     candidates=_candidates,
     members=lambda env, fid, params: [
         (None, skew_rep(SkewRepSpec("two_dim", params["alpha"], params["beta"])))],

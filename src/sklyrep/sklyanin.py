@@ -583,18 +583,20 @@ def f_value(c, point) -> complex:
     return g ** 2 - c ** 2 * (u1 ** 3 + u2 ** 3 + u3 ** 3) - (c ** 3 - 4.0) * u1 * u2 * u3
 
 
-def central_character(rep: Rep, tol: float = 1e-7) -> CenterChar:
+def central_character(rep: Rep, tol: float = 1e-7, residual=None) -> CenterChar:
     """Evaluate the center on a solution representation of S(1,1,c).
 
     The representation must satisfy the relations to within ``tol``, and
     each central image must be scalar to within ``tol`` (otherwise a
     ``ValueError`` is raised, also on a reducible representation); the
     scalar parts and the residual of the degree-6 relation are returned.
+    ``residual`` is the rep's ``relation_residual`` where the caller has
+    it (``reptheory.central_values``).
     """
     c = rep.env.get("c")
     if c is None:
         raise ValueError("representation environment does not bind c")
-    u1, u2, u3, g = central_values(s11c_presentation(c), center_words(c), rep, tol)
+    u1, u2, u3, g = central_values(s11c_presentation(c), center_words(c), rep, tol, residual)
     return CenterChar(u1, u2, u3, g, abs(f_value(c, (u1, u2, u3, g))))
 
 
@@ -705,7 +707,7 @@ ALGEBRA = Algebra(
     validate=lambda env: validate_s11c(env["c"]),
     presentation=lambda env: s11c_presentation(env["c"]),
     center_words=lambda env: center_words(env["c"]),
-    character=lambda rep, tol: asdict(central_character(rep, tol=tol)),
+    character=lambda rep, tol, residual=None: asdict(central_character(rep, tol, residual)),
     candidates=_candidates,
     members=_members,
 )

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sklyrep import cli, solver
+from sklyrep import cli, reptheory, solver
 from sklyrep.cli import main, parse_complex
 from sklyrep.reptheory import Rep, conjugate_rep, rep_to_json
 from sklyrep.sklyanin import FAMILIES, REPRESENTATIVE_IDS, family
@@ -158,6 +158,38 @@ def test_verify_rep_without_an_algebra_exits_2(tmp_path, capsys, gens, message):
                                 "matrices": {g: zero for g in gens}}))
     assert main(["verify", "--rep", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_computes_the_relation_residual_once(tmp_path, monkeypatch, capsys):
+    # the character reuses the residual verify computed; nothing else changes
+    member = family("t3f2", {"c": 2.0, "z4": 0.7})
+    q = np.array([[1.0, 2.0j], [0.5, 1.5]])
+    paths = []
+    for name, rep in (("t3f2", conjugate_rep(member, q)),
+                      ("psi", skew_rep(SkewRepSpec("two_dim", 0.8, -1.2)))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(rep_to_json(rep)))
+    commands = [["verify", "--rep", str(path)] for path in paths]
+    commands.append(["verify", "--family", "t3f2", "--set", "c=2,z4=1"])
+    outputs = []
+    for argv in commands:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    calls = []
+    residual = reptheory.relation_residual
+
+    def counting(pres, rep):
+        calls.append(rep)
+        return residual(pres, rep)
+
+    monkeypatch.setattr(reptheory, "relation_residual", counting)
+    monkeypatch.setattr(cli, "relation_residual", counting)
+    for argv, output in zip(commands, outputs):
+        calls.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == output
+        assert len(calls) == 1, argv
+        assert json.loads(output)["central_character"] is not None
 
 
 def test_verify_residual_failure_exits_1(tmp_path):

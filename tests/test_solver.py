@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from sklyrep.solver import (
     ALGEBRAS,
     CONVERGE_RESIDUAL,
     DEFAULT_SLICES,
+    COORD_SLICE_PROB,
+    JACOBIAN_BLOCK_BYTES,
     MAX_STEPS,
+    REFINE_STEPS,
+    SOLVE_CERTIFICATE,
+    STALL_STEPS,
     Solution,
     SolveReport,
     SolveTask,
@@ -38,6 +44,7 @@ from sklyrep.solver import (
     _pinned_polish,
     _rounded_keys,
     _slice_charts,
+    _slices_and_starts,
     one_dim_solutions,
     report_to_json,
     solve_reps,
@@ -446,6 +453,286 @@ def test_kernel_freezes_a_row_that_no_step_length_improves(monkeypatch):
     assert len(calls) <= 5
     assert not converged.any()
     assert np.max(np.abs(ends)) <= 1e-15 and np.allclose(rn, np.sqrt(2.0))
+
+
+def _lstsq_steps_reference(jac, rhs):
+    """``_lstsq_steps`` with the normal-equation diagonal taken by
+    ``np.trace`` and added through a ``range`` index (reference)."""
+    S, k, n = jac.shape
+    if k > n:
+        jh = jac.conj().transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = jh @ jac
+            mu = n * np.finfo(float).eps * np.trace(gram, axis1=1, axis2=2).real
+            gram[:, range(n), range(n)] += np.where(mu > 0.0, mu, 1.0)[:, None]
+            return np.linalg.solve(gram, jh @ rhs[..., None])[..., 0]
+    steps = np.empty((S, n), dtype=complex)
+    certified = np.zeros(S, dtype=bool)
+    if k == n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.linalg.norm(jac, axis=(1, 2)) ** n
+            certified = np.abs(np.linalg.det(jac)) > SOLVE_CERTIFICATE * scale
+        if certified.all():
+            return np.linalg.solve(jac, rhs[..., None])[..., 0]
+        steps[certified] = np.linalg.solve(jac[certified], rhs[certified, :, None])[..., 0]
+    rest = ~certified
+    if rest.any():
+        u, sv, vh = np.linalg.svd(jac if rest.all() else jac[rest], full_matrices=False)
+        coef = np.einsum("skr,sk->sr", u, rhs[rest].conj())
+        kept = sv > max(k, n) * np.finfo(float).eps * sv[:, :1]
+        coef = np.divide(coef, sv, out=np.zeros_like(coef), where=kept)
+        steps[rest] = np.einsum("srn,sr->sn", vh, coef).conj()
+    return steps
+
+
+def _gauss_newton_reference(system, U0, chart=None, converged=CONVERGE_RESIDUAL,
+                            max_steps=MAX_STEPS):
+    """``_gauss_newton_batch`` without the stall exit, forming each slow
+    row's Jacobian a second time to score its halved steps, with ``np.sum``
+    and ``np.linalg.norm`` (reference)."""
+
+    def quadratic(U):
+        quad = system._half_jacobians(U)
+        quad *= U[:, None, :]
+        return np.sum(quad, axis=2)
+
+    def residuals(U):
+        return system.C + U @ system.B.T + quadratic(U)
+
+    def steps(idx, X, R):
+        J = system.jacobians(X)
+        if chart is None:
+            return _lstsq_steps_reference(J, -R)
+        dz = _lstsq_steps_reference(J @ chart[idx], -R)
+        return (chart[idx] @ dz[..., None])[..., 0]
+
+    U = np.array(U0, dtype=complex)
+    R = residuals(U)
+    rn = np.linalg.norm(R, axis=1)
+    width = U.shape[1] if chart is None else chart.shape[2]
+    block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * max(width, 1) * U.itemsize))
+    ladder = 0.5 ** np.arange(1, 30)[:, None]
+    score_block = max(1, JACOBIAN_BLOCK_BYTES // (R.shape[1] * ladder.size * U.itemsize))
+    live = np.ones(len(U), dtype=bool)
+    for _ in range(max_steps):
+        live &= rn > converged
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        step = np.empty((rows.size, U.shape[1]), dtype=complex)
+        for i in range(0, rows.size, block):
+            part = rows[i:i + block]
+            step[i:i + block] = steps(part, U[part], R[part])
+        U_try = U[rows] + step
+        R_try = residuals(U_try)
+        rn_try = np.linalg.norm(R_try, axis=1)
+        slow = np.flatnonzero(~(rn_try < rn[rows]))
+        t = np.zeros(slow.size)
+        for i in range(0, slow.size, score_block):
+            part = slow[i:i + score_block]
+            lin = (system.jacobians(U[rows[part]]) @ step[part, :, None])[..., 0]
+            quad = quadratic(step[part])
+            pred = R[rows[part], None] + ladder * (lin[:, None] + ladder * quad[:, None])
+            better = np.linalg.norm(pred, axis=2) < rn[rows[part], None]
+            t[i:i + score_block] = np.where(better.any(axis=1), ladder[better.argmax(axis=1), 0], 0)
+        retry, t = slow[t > 0.0], t[t > 0.0]
+        if retry.size:
+            U_try[retry] = U[rows[retry]] + t[:, None] * step[retry]
+            R_try[retry] = residuals(U_try[retry])
+            rn_try[retry] = np.linalg.norm(R_try[retry], axis=1)
+        better = rn_try < rn[rows]
+        done = rows[better]
+        U[done], R[done], rn[done] = U_try[better], R_try[better], rn_try[better]
+        live[rows[~better]] = False
+    return U, rn, rn <= converged
+
+
+def _kernel_cases():
+    """(label, system, starts, kwargs) for the kernel's bitwise test: every
+    chart kind the solves use, on S(1,1,c) and the skew ring."""
+    rng = np.random.default_rng(59)
+    for c in (5.0, 0.5 + 1.2j):
+        for kind in ("one_block", "two_blocks"):
+            task = SolveTask("sklyanin", kind, c=c, num_starts=80, seed=59)
+            _, base = _build_system(task.presentation(), kind, 2)
+            n = base.n_unknowns
+            groups = _slice_charts(*_slices_and_starts(rng, task, n))
+            for idx, origins, directions in groups:
+                yield f"{c} {kind} sliced rank {n - directions.shape[2]}", base, origins, {
+                    "chart": directions}
+            starts = _disk_samples(rng, (80, n))
+            yield f"{c} {kind} unsliced", base, starts, {}
+            # the re-pinned polish's charts: the axes of the unpinned unknowns
+            pinned = np.stack([rng.permutation(n) < 2 for _ in range(40)])
+            axes = np.stack([np.eye(n, dtype=complex)[:, ~p] for p in pinned])
+            yield f"{c} {kind} pinned", base, np.where(pinned, 0.0, starts[:40]), {
+                "chart": axes}
+            # the refine pass's charts: the axes of the nonzero unknowns
+            nonzero = np.where(rng.random((80, n)) < 0.2, 0.0, starts)
+            yield f"{c} {kind} refine", base, nonzero, {
+                "chart": np.eye(n) * (nonzero != 0)[:, None, :], "converged": 0.0,
+                "max_steps": REFINE_STEPS}
+    for pres in (s11c_presentation(5.0), s11c_presentation(0.5 + 1.2j), skew_presentation()):
+        _, line = _build_system(pres, "one_block", 1)
+        yield f"1-D {pres.generators}", line, _disk_samples(rng, (120, line.n_unknowns)), {}
+
+
+def test_kernel_without_the_stall_exit_equals_the_reference_bit_for_bit():
+    for label, system, starts, kwargs in _kernel_cases():
+        ends = _gauss_newton_batch(system, starts, **kwargs)
+        reference = _gauss_newton_reference(system, starts, **kwargs)
+        for got, want in zip(ends, reference):
+            assert got.tobytes() == want.tobytes(), label
+
+
+def test_kernel_equals_the_reference_over_several_blocks(monkeypatch):
+    # 700 sliced starts: several Jacobian blocks per iteration, and in some
+    # iteration more slow rows than one score block holds
+    task = SolveTask("sklyanin", "two_blocks", c=5.0, num_starts=700, seed=3)
+    _, base = _build_system(task.presentation(), "two_blocks", 2)
+    groups = _slice_charts(*_slices_and_starts(np.random.default_rng(3), task, base.n_unknowns))
+    _, starts, chart = max(groups, key=lambda group: len(group[0]))
+    k, width = len(base.C), chart.shape[2]
+    block = JACOBIAN_BLOCK_BYTES // (k * width * 16)
+    score_block = JACOBIAN_BLOCK_BYTES // (k * 29 * 16)
+    assert len(starts) > 2 * block
+    calls = []
+    methods = {name: getattr(_QuadSystem, name) for name in ("residuals", "jacobians", "quadratic")}
+    for name, method in methods.items():
+        def recording(self, U, name=name, method=method):
+            calls.append((name, len(U)))
+            return method(self, U)
+
+        monkeypatch.setattr(_QuadSystem, name, recording)
+    ends = _gauss_newton_batch(base, starts, chart=chart)
+    assert [c for c in calls if c[0] == "jacobians"][:2] == [("jacobians", block)] * 2
+    # a scoring call is a quadratic call that no residuals call made
+    assert any(a[0] != "residuals" and b == ("quadratic", score_block) and c[0] == "quadratic"
+               for a, b, c in zip(calls, calls[1:], calls[2:]))
+    monkeypatch.undo()
+    for got, want in zip(ends, _gauss_newton_reference(base, starts, chart=chart)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _counting_jacobians(monkeypatch):
+    """The row counts of every ``_QuadSystem.jacobians`` call: one per
+    iteration of a kernel run on fewer rows than a block."""
+    calls = []
+    jacobians = _QuadSystem.jacobians
+
+    def counting(self, U):
+        calls.append(len(U))
+        return jacobians(self, U)
+
+    monkeypatch.setattr(_QuadSystem, "jacobians", counting)
+    return calls
+
+
+def test_stall_exit_freezes_a_plateau_row(monkeypatch):
+    # u^2 - 1 = 0 and lam u = 0 (lam^2 = 1.9) have no common root; Gauss-
+    # Newton nears the least-squares point u^2 = 1 - lam^2 / 2 only
+    # linearly, at ratio lam^2 / (4 - lam^2) = 0.905, so the residual creeps
+    # down towards 0.9987 for more than MAX_STEPS steps and never halves
+    lam = np.sqrt(1.9)
+    plateau = _QuadSystem(np.array([[[1.0]], [[0.0]]], complex), np.array([[0.0], [lam]], complex),
+                          np.array([-1.0, 0.0], complex))
+    start = np.array([[np.sqrt(0.05) + 0.3 + 0.1j]])
+    calls = _counting_jacobians(monkeypatch)
+    off = _gauss_newton_batch(plateau, start)
+    assert len(calls) == MAX_STEPS and not off[2].any()
+    calls.clear()
+    on = _gauss_newton_batch(plateau, start, stall_exit=True)
+    assert len(calls) == STALL_STEPS
+    short = _gauss_newton_batch(plateau, start, max_steps=STALL_STEPS)
+    for got, want in zip(on, short):
+        assert got.tobytes() == want.tobytes()
+    assert off[1][0] < on[1][0] < 1.0
+
+
+def test_stall_exit_keeps_double_and_regular_roots(monkeypatch):
+    square = _QuadSystem(np.ones((1, 1, 1), complex), np.zeros((1, 1), complex),
+                         np.zeros(1, complex))
+    unit = _QuadSystem(np.ones((1, 1, 1), complex), np.zeros((1, 1), complex),
+                       -np.ones(1, complex))
+    cases = [
+        # u^2 = 0: each step halves u, so the residual falls by 1/4 a step
+        # and needs more than STALL_STEPS of them
+        (square, np.array([[1.0 + 0.5j], [-2.0 + 3.0j]]), 19),
+        # u^2 = 1 from near 0: the damped first step barely lowers the
+        # residual, then the steps converge quadratically
+        (unit, np.array([[1e-3 + 2e-3j]]), 8),
+        (unit, np.array([[0.9 - 0.2j], [3.0 + 4.0j]]), 4),
+    ]
+    calls = _counting_jacobians(monkeypatch)
+    for system, starts, at_least in cases:
+        calls.clear()
+        on = _gauss_newton_batch(system, starts, stall_exit=True)
+        assert len(calls) >= at_least and on[2].all()
+        for got, want in zip(on, _gauss_newton_batch(system, starts)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_only_phases_whose_endpoints_go_on_use_the_stall_exit(monkeypatch):
+    # the sliced phase and the re-pinned polish; not the unsliced polish,
+    # the refine pass or the 1-dimensional sweep
+    seen = {}
+    kernel = solver._gauss_newton_batch
+
+    def recording(system, U0, chart=None, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_kept_solutions":
+            phase = ("unsliced" if chart is None else
+                     "refine" if kwargs.get("max_steps") == REFINE_STEPS else "sliced")
+        else:
+            phase = caller
+        seen.setdefault(phase, set()).add(kwargs.get("stall_exit", False))
+        return kernel(system, U0, chart=chart, **kwargs)
+
+    monkeypatch.setattr(solver, "_gauss_newton_batch", recording)
+    solve_reps(SolveTask("sklyanin", "one_block", c=5.0, num_starts=60, seed=7))
+    one_dim_solutions(skew_presentation(), num_starts=20, seed=1)
+    assert seen == {"sliced": {True}, "_pinned_polish": {True}, "unsliced": {False},
+                    "refine": {False}, "one_dim_solutions": {False}}
+
+
+def _disk_samples_reference(rng, shape):
+    """``_disk_samples`` by ``rng.uniform`` (reference)."""
+    radii = 2.0 * np.sqrt(rng.uniform(size=shape))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    return radii * np.exp(1j * angles)
+
+
+def _slices_and_starts_reference(rng, task, n_u):
+    """``_slices_and_starts`` by ``rng.uniform``, looking up each generator
+    method on every draw (reference)."""
+    k = task.slices()
+    rows = np.zeros((task.num_starts, k, n_u), dtype=complex)
+    targets = np.zeros((task.num_starts, k), dtype=complex)
+    starts = np.empty((task.num_starts, n_u), dtype=complex)
+    for s in range(task.num_starts):
+        for i in range(k):
+            if rng.uniform() < COORD_SLICE_PROB:
+                rows[s, i, int(rng.integers(n_u))] = 1.0
+            else:
+                row = rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)
+                rows[s, i] = row / np.linalg.norm(row)
+                targets[s, i] = _disk_samples_reference(rng, ())
+        starts[s] = _disk_samples_reference(rng, n_u)
+    return rows, targets, starts
+
+
+def test_slice_draw_equals_the_uniform_draw_bit_for_bit():
+    for kind in ("one_block", "two_blocks"):
+        n_u = _build_system(s11c_presentation(5.0), kind, 2)[1].n_unknowns
+        for count in range(5):
+            task = SolveTask("sklyanin", kind, c=5.0, num_starts=40, slice_count=count)
+            for seed in (3, 4):
+                got = _slices_and_starts(np.random.default_rng(seed), task, n_u)
+                want = _slices_and_starts_reference(np.random.default_rng(seed), task, n_u)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (kind, count)
+    for shape in ((200, 3), (7,), ()):
+        got = _disk_samples(np.random.default_rng(5), shape)
+        assert got.tobytes() == _disk_samples_reference(np.random.default_rng(5), shape).tobytes()
 
 
 def test_slice_charts_keep_every_direction_of_a_repeated_coordinate_slice():
